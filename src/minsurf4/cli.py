@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 verified or hypothesis-not-applicable, 1 usage/config error,
-2 internal-consistency failure (a COUNTEREXAMPLE flag, which no correct
-build can produce). All artifacts are deterministic for fixed config + seed.
+2 negative verdict: a COUNTEREXAMPLE flag (which no correct build can
+produce) or a failed stage of the nonorientable pipeline. All artifacts are
+deterministic for fixed config + seed.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ def cmd_nonorientable(args):
         },
     )
     _emit(args, report, extra_files=extra)
-    return 0
+    return 0 if rep.passed else 2
 
 
 def cmd_mesh(args):

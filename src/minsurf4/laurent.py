@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 from .errors import DomainError
-from .poly import Polynomial
+from .poly import Polynomial, horner
 from .scalars import GaussianRational, as_scalar, conj, format_scalar, parse_scalar, to_complex
 
 
@@ -30,13 +32,15 @@ def _norm(lo, coeffs):
 
 
 class LaurentPoly:
-    __slots__ = ("lo", "coeffs", "exact")
+    # _ccoeffs: the complex coefficient tuple, built on first float use
+    __slots__ = ("lo", "coeffs", "exact", "_ccoeffs")
 
     def __init__(self, lo=0, coeffs=()):
         lo, vals, exact = _norm(lo, coeffs)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "coeffs", vals)
         object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "_ccoeffs", None if exact else vals)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -178,16 +182,18 @@ class LaurentPoly:
         return LaurentPoly.from_dict(terms)
 
     def eval(self, z):
-        """Complex evaluation; z must be nonzero when negative exponents exist."""
-        zz = to_complex(z)
-        if self.is_zero():
-            return 0j
-        if zz == 0 and self.lo < 0:
+        """Complex evaluation at a point or, elementwise, at a numpy array of
+        points; every point must be nonzero when negative exponents exist."""
+        zz = z if isinstance(z, (complex, np.ndarray)) else to_complex(z)
+        if self.lo < 0 and np.any(zz == 0):
             raise ZeroDivisionError("Laurent polynomial evaluated at 0")
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * zz + to_complex(c)
-        return acc * zz**self.lo
+        return horner(self.to_complex_coeffs(), zz) * zz**self.lo
+
+    def to_complex_coeffs(self):
+        """Ascending complex coefficients from z^lo, converted once and cached."""
+        if self._ccoeffs is None:
+            object.__setattr__(self, "_ccoeffs", tuple(to_complex(c) for c in self.coeffs))
+        return self._ccoeffs
 
     __call__ = eval
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from .domains import derive_rng
 from .errors import (
     ConditionViolation,
@@ -171,6 +173,11 @@ def f_from_coefficients(b):
     return LaurentPoly.from_dict(terms)
 
 
+def _circle(samples, r=1.0):
+    """The points r e^{2 pi i j / samples}, j = 0, ..., samples - 1."""
+    return r * np.exp(2j * math.pi * np.arange(samples) / samples)
+
+
 def unit_circle_min(f, samples=4096, refine=60):
     """min |f| on |z| = 1: dense sweep plus ternary refinement."""
 
@@ -178,7 +185,7 @@ def unit_circle_min(f, samples=4096, refine=60):
         return abs(f.eval(cmath.exp(1j * theta)))
 
     step = 2.0 * math.pi / samples
-    best_i = min(range(samples), key=lambda i: val(i * step))
+    best_i = int(np.argmin(np.abs(f.eval(_circle(samples)))))
     lo = (best_i - 1) * step
     hi = (best_i + 1) * step
     for _ in range(refine):
@@ -189,11 +196,6 @@ def unit_circle_min(f, samples=4096, refine=60):
         else:
             lo = m1
     return val(0.5 * (lo + hi))
-
-
-def unit_circle_max(f, samples=4096):
-    step = 2.0 * math.pi / samples
-    return max(abs(f.eval(cmath.exp(1j * i * step))) for i in range(samples))
 
 
 ROOT_CIRCLE_TOL = 1e-6
@@ -266,6 +268,12 @@ class CoverSpec:
         raise AttributeError("CoverSpec is immutable")
 
 
+def _residue_vanishes(value):
+    if isinstance(value, GaussianRational):
+        return not value
+    return abs(value) <= 1e-12
+
+
 def residue_condition(phi, f, k):
     """Residue at 0 of phi(z^k) f(z) dz/z: the constant Laurent coefficient
     of the product. Returns (vanishes, value). k may be any positive integer
@@ -277,11 +285,7 @@ def residue_condition(phi, f, k):
         raise DomainError("k must be a positive integer")
     fc = f.f if isinstance(f, FCandidate) else f
     value = (phi.compose_power(k) * fc).coeff(0)
-    if isinstance(value, GaussianRational):
-        ok = not value
-    else:
-        ok = abs(value) <= 1e-12
-    return ok, value
+    return _residue_vanishes(value), value
 
 
 def pullback_psi(data, f, cover):
@@ -292,13 +296,13 @@ def pullback_psi(data, f, cover):
     k = cover.k
     psis = []
     for j, phi in enumerate(data.phi):
-        ok, value = residue_condition(phi, f, k)
-        if not ok:
+        product = phi.compose_power(k) * f.f
+        value = product.coeff(0)
+        if not _residue_vanishes(value):
             raise PeriodObstruction(
                 f"residue condition fails for component {j}: {format_scalar(value)}"
             )
-        h = (phi.compose_power(k) * f.f) * k
-        psis.append(h)
+        psis.append(product * k)
     symmetric = all(validate_symmetric_laurent(h) for h in psis)
     return tuple(psis), symmetric
 
@@ -325,13 +329,8 @@ K_SEARCH_CAP = 99
 
 
 def _circle_extrema(f, r, samples=2048):
-    lo = math.inf
-    hi = 0.0
-    for i in range(samples):
-        v = abs(f.eval(r * cmath.exp(2j * math.pi * i / samples)))
-        lo = min(lo, v)
-        hi = max(hi, v)
-    return lo, hi
+    v = np.abs(f.eval(_circle(samples, r)))
+    return float(v.min()), float(v.max())
 
 
 def f_bounds(f, R, k, cap=K_SEARCH_CAP):
@@ -443,32 +442,23 @@ def sandwich_check(data, psis, bounds, rho, samples=1000, seed=0, slack=1e-12):
     """
     k = bounds.k
     c2 = bounds.c * bounds.c
-    worst = 0.0
-    ok = True
-    for z in _sandwich_samples(rho, samples, seed):
-        pull = sum(abs(k * phi.eval(z**k) / z) ** 2 for phi in data.phi)
-        lam0 = sum(abs(h.eval(z) / z) ** 2 for h in psis)
-        if pull == 0.0:
-            ok = ok and lam0 == 0.0
-            continue
-        lo_margin = lam0 - pull / c2 * (1.0 - slack)
-        hi_margin = c2 * pull * (1.0 + slack) - lam0
-        worst = max(worst, -min(lo_margin, hi_margin) / pull)
-        if lo_margin < 0.0 or hi_margin < 0.0:
-            ok = False
+    z = np.array(_sandwich_samples(rho, samples, seed), dtype=complex)
+    pull = sum(np.abs(k * phi.eval(z**k) / z) ** 2 for phi in data.phi)
+    lam0 = sum(np.abs(h.eval(z) / z) ** 2 for h in psis)
+    flat = pull == 0.0
+    ok = bool(np.all(lam0[flat] == 0.0))
+    pull, lam0 = pull[~flat], lam0[~flat]
+    lo_margin = lam0 - pull / c2 * (1.0 - slack)
+    hi_margin = c2 * pull * (1.0 + slack) - lam0
+    ok = ok and not (np.any(lo_margin < 0.0) or np.any(hi_margin < 0.0))
+    worst = float(np.max(-np.minimum(lo_margin, hi_margin) / pull, initial=0.0))
     return ok, worst
 
 
 def loop_periods_psi(psis, samples=4096):
     """|∮_{|z|=1} psi_j| via the trapezoid rule on H_j(z) dz/z."""
-    out = []
-    for h in psis:
-        acc = 0j
-        for i in range(samples):
-            z = cmath.exp(2j * math.pi * i / samples)
-            acc += h.eval(z)
-        out.append(abs(acc * 2j * math.pi / samples))
-    return out
+    z = _circle(samples)
+    return [abs(complex(np.sum(h.eval(z))) * 2j * math.pi / samples) for h in psis]
 
 
 def half_domain_mesh(psis, rho, n_r=8, n_theta=64, metadata=None):
@@ -477,7 +467,7 @@ def half_domain_mesh(psis, rho, n_r=8, n_theta=64, metadata=None):
     antipode e^{i t} -> -e^{i t}.
 
     X(z) = Re int_1^z sum psi; integration runs along the unit circle and
-    then radially, with cumulative trapezoid/Gauss steps. n_theta must be
+    then radially, with cumulative trapezoid steps. n_theta must be
     even so identified circle vertices pair up exactly; pairs are recorded
     in the metadata as vertex index pairs.
     """
@@ -485,44 +475,26 @@ def half_domain_mesh(psis, rho, n_r=8, n_theta=64, metadata=None):
         raise DomainError("n_theta must be even for the identification pairs")
     r_hi = math.sqrt(rho)
 
-    def form(z):
-        return tuple(h.eval(z) / z for h in psis)
+    def trapezoid_steps(z):
+        """Trapezoid terms of the four forms between neighbours on z's last axis."""
+        f = np.array([h.eval(z) / z for h in psis])
+        return 0.5 * (f[..., :-1] + f[..., 1:]) * np.diff(z)
 
-    # angular prefix integrals on the unit circle at theta_i = 2 pi i / n
+    # angular prefix integrals on the unit circle at theta_i = 2 pi i / n,
+    # 4 trapezoid steps per cell
     steps = 4
-    prefix = [(0j, 0j, 0j, 0j)]
-    for i in range(n_theta):
-        t0 = 2.0 * math.pi * i / n_theta
-        acc = list(prefix[-1])
-        for s in range(steps):
-            a = t0 + (2.0 * math.pi / n_theta) * s / steps
-            b = t0 + (2.0 * math.pi / n_theta) * (s + 1) / steps
-            za, zb = cmath.exp(1j * a), cmath.exp(1j * b)
-            fa, fb = form(za), form(zb)
-            for j in range(4):
-                acc[j] += 0.5 * (fa[j] + fb[j]) * (zb - za)
-        prefix.append(tuple(acc))
+    circle = _circle(n_theta * steps)[: (n_theta - 1) * steps + 1]
+    arc = np.cumsum(trapezoid_steps(circle), axis=-1)[:, steps - 1 :: steps]
+    prefix = np.concatenate([np.zeros_like(arc[:, :1]), arc], axis=1)
 
-    def radial(theta_idx, r):
-        base = prefix[theta_idx]
-        th = 2.0 * math.pi * theta_idx / n_theta
-        direction = cmath.exp(1j * th)
-        n_steps = 24
-        acc = list(base)
-        for s in range(n_steps):
-            ra = 1.0 + (r - 1.0) * s / n_steps
-            rb = 1.0 + (r - 1.0) * (s + 1) / n_steps
-            za, zb = ra * direction, rb * direction
-            fa, fb = form(za), form(zb)
-            for j in range(4):
-                acc[j] += 0.5 * (fa[j] + fb[j]) * (zb - za)
-        return tuple(v.real for v in acc)
-
-    vertices = []
-    for jr in range(n_r):
-        r = 1.0 + (r_hi - 1.0) * jr / (n_r - 1)
-        for it in range(n_theta):
-            vertices.append(radial(it, r))
+    # then radially from e^{i theta_i} out to each ring radius r, 24 steps;
+    # rays[jr, i, s] = (1 + (r_jr - 1) s / 24) e^{i theta_i}
+    n_steps = 24
+    radii = 1.0 + (r_hi - 1.0) * np.arange(n_r) / (n_r - 1)
+    ray_r = 1.0 + np.multiply.outer(radii - 1.0, np.arange(n_steps + 1)) / n_steps
+    rays = ray_r[:, None, :] * _circle(n_theta)[:, None]
+    coords = (prefix[:, None, :] + trapezoid_steps(rays).sum(axis=-1)).real
+    vertices = coords.reshape(len(psis), n_r * n_theta).T.tolist()
     faces = []
     for jr in range(n_r - 1):
         for it in range(n_theta):

@@ -13,6 +13,8 @@ import cmath
 import math
 import re
 
+import numpy as np
+
 from .errors import DomainError, RequiresExactMode
 from .scalars import GaussianRational, as_scalar, conj, format_scalar, is_exact, parse_scalar, to_complex
 
@@ -29,13 +31,27 @@ def _norm_coeffs(coeffs):
     return tuple(vals), exact
 
 
+def horner(ccoeffs, z):
+    """Value at z of the polynomial with ascending complex coefficients.
+
+    z is a complex scalar or a numpy array of points, evaluated elementwise;
+    the float kernel under Polynomial.eval and LaurentPoly.eval.
+    """
+    acc = np.zeros(z.shape, complex) if isinstance(z, np.ndarray) else 0j
+    for c in reversed(ccoeffs):
+        acc = acc * z + c
+    return acc
+
+
 class Polynomial:
-    __slots__ = ("coeffs", "exact")
+    # _ccoeffs: the complex coefficient tuple, built on first float use
+    __slots__ = ("coeffs", "exact", "_ccoeffs")
 
     def __init__(self, coeffs=()):
         vals, exact = _norm_coeffs(coeffs)
         object.__setattr__(self, "coeffs", vals)
         object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "_ccoeffs", None if exact else vals)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -172,13 +188,14 @@ class Polynomial:
         return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def eval(self, z):
+        """Value at z. Exact data at an exact point gives an exact value; a
+        float point, float data or a numpy array of points gives complex."""
+        if isinstance(z, np.ndarray):
+            return horner(self.to_complex_coeffs(), z)
         z = as_scalar(z)
         if isinstance(z, complex) or not self.exact:
-            zz = to_complex(z)
-            acc = 0j
-            for c in reversed(self.coeffs):
-                acc = acc * zz + to_complex(c)
-            return acc
+            zz = z if isinstance(z, complex) else to_complex(z)
+            return horner(self.to_complex_coeffs(), zz)
         acc = GaussianRational(0)
         for c in reversed(self.coeffs):
             acc = acc * z + c
@@ -210,7 +227,10 @@ class Polynomial:
         return out
 
     def to_complex_coeffs(self):
-        return [to_complex(c) for c in self.coeffs]
+        """Ascending complex coefficients, converted once and cached."""
+        if self._ccoeffs is None:
+            object.__setattr__(self, "_ccoeffs", tuple(to_complex(c) for c in self.coeffs))
+        return self._ccoeffs
 
     def __repr__(self):
         return f"Polynomial({format_poly(self)!r})"
@@ -285,18 +305,12 @@ def _aberth(coeffs, tol=1e-14, maxiter=200):
     zs = [radius * cmath.exp(2j * math.pi * (k / n) + 0.4j) * (1 + 0.01 * k / max(n, 1)) for k in range(n)]
     der = [k * cs[k] for k in range(1, n + 1)]
 
-    def ev(poly, z):
-        acc = 0j
-        for c in reversed(poly):
-            acc = acc * z + c
-        return acc
-
     for _ in range(maxiter):
         moved = 0.0
         for i in range(n):
             z = zs[i]
-            pv = ev(cs, z)
-            dv = ev(der, z)
+            pv = horner(cs, z)
+            dv = horner(der, z)
             if dv == 0:
                 zs[i] = z + (1e-6 + 1e-6j)
                 moved = math.inf
@@ -321,8 +335,8 @@ def _aberth(coeffs, tol=1e-14, maxiter=200):
     # Newton polish
     for i in range(n):
         for _ in range(3):
-            pv = ev(cs, zs[i])
-            dv = ev(der, zs[i])
+            pv = horner(cs, zs[i])
+            dv = horner(der, zs[i])
             if dv == 0:
                 break
             zs[i] -= pv / dv

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import cmath
 
+import numpy as np
+
 from .errors import DomainError, RequiresExactMode, UnsupportedPoint
 from .poly import Polynomial, format_poly, gcd, multiplicity_at, parse_poly, roots
 from .scalars import GaussianRational, as_scalar, conj, is_exact, to_complex
@@ -158,10 +160,11 @@ class RationalFunction:
     # -- evaluation ----------------------------------------------------------
 
     def eval_at(self, z):
-        """Value at a finite point; raises ZeroDivisionError at a pole."""
+        """Value at a finite point, or elementwise at a numpy array of points;
+        raises ZeroDivisionError at a pole."""
         n = self.num.eval(z)
         d = self.den.eval(z)
-        if not d:
+        if not (d.all() if isinstance(d, np.ndarray) else d):
             raise ZeroDivisionError("pole")
         return n / d
 

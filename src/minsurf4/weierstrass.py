@@ -11,7 +11,6 @@ whenever the real periods vanish and the forms have no common zero.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -400,10 +399,6 @@ def immerse(p, domain, base, targets, tol=1e-9, check_periods=True):
 def loop_period(p, center, radius, n=2048):
     """∮ phi_j dz on a circle, by the trapezoid rule (spectral accuracy)."""
     c = to_complex(center)
-    out = [0j, 0j, 0j, 0j]
-    for j in range(n):
-        z = c + radius * cmath.exp(2j * math.pi * j / n)
-        dz = 2j * math.pi / n * (z - c)
-        for i, phi in enumerate(p.phi):
-            out[i] += phi.eval_at(z) * dz
-    return tuple(out)
+    w = radius * np.exp(2j * math.pi * np.arange(n) / n)
+    dz = 2j * math.pi / n * w
+    return tuple(complex(np.sum(phi.eval_at(c + w) * dz)) for phi in p.phi)

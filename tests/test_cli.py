@@ -126,6 +126,18 @@ def test_nonorientable_report_and_mesh(tmp_path, capsys):
     assert "identified-pairs" in mesh_file.read_text()
 
 
+def test_nonorientable_failed_stage_exits_2(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "moebius-strip.json").read_text())
+    cfg["nonorientable"]["loop_tol"] = 1e-30
+    path = tmp_path / "moebius-tight.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = _run(["nonorientable", "--config", str(path)], capsys)
+    assert code == 2
+    pipeline = json.loads(out)["results"]["pipeline"]
+    assert pipeline["passed"] is False
+    assert pipeline["failed_stage"] == "loop-periods"
+
+
 def test_mesh_export_hash_consistency(tmp_path, capsys):
     out_dir = tmp_path / "artifacts"
     code, out, _ = _run(

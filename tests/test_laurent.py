@@ -1,5 +1,6 @@
 """Laurent polynomials: convolution arithmetic, substitution, reflection."""
 
+import numpy as np
 import pytest
 
 from minsurf4.domains import derive_rng
@@ -98,6 +99,29 @@ def test_eval():
     assert exact == GaussianRational("5/2")
     with pytest.raises(ZeroDivisionError):
         p.eval(GaussianRational(0))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0", "(1/2)*z + (1/2)*z^-1", "(1+1i)*z^2 + (2)*z + (-1i) + (3)*z^-3", "(2i)*z^-2 + (1)*z^-1"],
+)
+def test_array_eval_matches_scalar_eval(text):
+    p = parse_laurent(text)
+    z = np.array([1.0, -0.7 + 0.2j, 1.3j, 2.5 - 1.5j, 0.01])
+    values = p.eval(z)
+    assert isinstance(values, np.ndarray) and values.shape == z.shape
+    for w, v in zip(z, values):
+        assert v == pytest.approx(p.eval(complex(w)), rel=1e-14, abs=1e-300)
+
+
+def test_array_eval_rejects_zero_with_negative_exponents():
+    p = parse_laurent("(1)*z + (1)*z^-1")
+    assert p.lo < 0
+    with pytest.raises(ZeroDivisionError):
+        p.eval(np.array([1.0, 0.0, 2j]))
+    # without negative exponents 0 is an ordinary point
+    q = parse_laurent("(1)*z^2 + (3)")
+    assert q.eval(np.array([0.0, 1.0])).tolist() == [3 + 0j, 4 + 0j]
 
 
 def test_derivative():

@@ -1,8 +1,10 @@
 """Moebius-strip pipeline: involution symmetry, the multiplier f, residue
 conditions, pullback forms, bounds, and report assembly."""
 
+import cmath
 import math
 
+import numpy as np
 import pytest
 
 from minsurf4.domains import derive_rng
@@ -15,6 +17,7 @@ from minsurf4.errors import (
 from minsurf4.laurent import LaurentPoly, parse_laurent
 from minsurf4.nonorientable import (
     CoverSpec,
+    FBounds,
     InvolutionSpec,
     SymmetricLaurentData,
     assemble_report,
@@ -29,13 +32,12 @@ from minsurf4.nonorientable import (
     pullback_psi,
     residue_condition,
     sandwich_check,
-    unit_circle_max,
     unit_circle_min,
     validate_symmetric_f,
     validate_symmetric_laurent,
 )
 from minsurf4.rational import RationalFunction
-from minsurf4.scalars import GaussianRational, conj
+from minsurf4.scalars import GaussianRational, conj, to_complex
 from minsurf4.sphere import INFINITY, SpherePoint
 from minsurf4.weierstrass import WeierstrassData
 
@@ -207,7 +209,6 @@ def test_unit_circle_min_shipped_value():
     # |f(e^{i t})|^2 = 16 s^2 - 12 s + 4 with s = sin^2 t: minimum 7/4 at s = 3/8
     assert abs(unit_circle_min(f.f) - math.sqrt(7.0) / 2.0) < 1e-9
     assert f.circle_min == pytest.approx(math.sqrt(7.0) / 2.0, abs=1e-9)
-    assert unit_circle_max(f.f) >= unit_circle_min(f.f)
 
 
 def test_validate_symmetric_f():
@@ -362,11 +363,45 @@ def test_sandwich_check_deterministic():
     assert r1 == r2
 
 
+def test_sandwich_check_matches_pointwise_loop():
+    """The array evaluation against the point-by-point loop it replaced, with
+    c = 2 too small for the shipped f so that margins go negative."""
+    data = _shipped_data()
+    f = _shipped_f()
+    k = f_bounds(f, 4.0, 3).k
+    bounds = FBounds(2.0, 0.5, 2.0, k)
+    psis, _ = pullback_psi(data, f, CoverSpec(k, f.m))
+    rho = math.exp(math.log(4.0) / k)
+    c2 = bounds.c * bounds.c
+    ok = True
+    worst = 0.0
+    rng = derive_rng(3, 300, "sandwich")
+    for _ in range(300):
+        r = math.exp(rng.uniform(math.log(1.0 / rho), math.log(rho)))
+        z = r * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        pull = sum(abs(k * phi.eval(z**k) / z) ** 2 for phi in data.phi)
+        lam0 = sum(abs(h.eval(z) / z) ** 2 for h in psis)
+        lo_margin = lam0 - pull / c2 * (1.0 - 1e-12)
+        hi_margin = c2 * pull * (1.0 + 1e-12) - lam0
+        worst = max(worst, -min(lo_margin, hi_margin) / pull)
+        ok = ok and lo_margin >= 0.0 and hi_margin >= 0.0
+    measured_ok, measured = sandwich_check(data, psis, bounds, rho, samples=300, seed=3)
+    assert not ok and not measured_ok
+    assert worst > 0.1
+    assert measured == pytest.approx(worst, rel=1e-12)
+
+
 def test_loop_periods_vanish():
     data = _shipped_data()
     f = _shipped_f()
     psis, _ = pullback_psi(data, f, CoverSpec(5, f.m))
     assert max(loop_periods_psi(psis)) < 1e-8
+
+
+def test_loop_periods_see_a_residue():
+    # H = 3 + z: the trapezoid rule on |z| = 1 gives |2 pi i * 3| exactly
+    (period,) = loop_periods_psi([parse_laurent("(3) + z")], samples=64)
+    assert period == pytest.approx(6.0 * math.pi, rel=1e-14)
 
 
 def test_half_domain_mesh():
@@ -382,6 +417,39 @@ def test_half_domain_mesh():
     assert pairs[0] == "0<->8"
     with pytest.raises(DomainError):
         half_domain_mesh(psis, rho, n_r=4, n_theta=15)
+
+
+def test_half_domain_mesh_against_closed_form():
+    """Vertices against int_1^z H_j(z) dz/z = sum_{n != 0} c_n (z^n - 1)/n.
+
+    The z^0 coefficient of each H_j is 0 (the residue condition), so the
+    primitive is a Laurent polynomial. The trapezoid rule of the mesh (4
+    steps per angular cell, 24 radial steps) is off by 3.57e-3 against a
+    vertex scale of 6.18 on the shipped data at k = 5.
+    """
+    data = _shipped_data()
+    f = _shipped_f()
+    psis, _ = pullback_psi(data, f, CoverSpec(5, f.m))
+    rho = math.exp(math.log(4.0) / 5)
+    n_r, n_theta = 8, 64
+    mesh = half_domain_mesh(psis, rho, n_r=n_r, n_theta=n_theta)
+    for h in psis:
+        assert h.coeff(0) == 0
+    r_hi = math.sqrt(rho)
+    worst = scale = 0.0
+    for jr in range(n_r):
+        r = 1.0 + (r_hi - 1.0) * jr / (n_r - 1)
+        for it in range(n_theta):
+            z = r * cmath.exp(2j * math.pi * it / n_theta)
+            exact = [
+                sum(to_complex(c) * (z**n - 1) / n for n, c in h.terms().items() if n).real
+                for h in psis
+            ]
+            vertex = mesh.vertices[jr * n_theta + it]
+            worst = max(worst, max(abs(a - b) for a, b in zip(exact, vertex)))
+            scale = max(scale, max(abs(a) for a in exact))
+    assert scale == pytest.approx(6.18, abs=0.01)
+    assert worst < 5e-3
 
 
 def test_assemble_report_shipped_passes():

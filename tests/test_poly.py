@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+import minsurf4.poly as poly_module
 from minsurf4.domains import derive_rng
 from minsurf4.poly import (
     Polynomial,
     format_poly,
     gcd,
     gcd_many,
+    horner,
     multiplicity_at,
     parse_poly,
     roots,
@@ -64,6 +66,43 @@ def test_from_roots_and_eval():
         assert p.degree == 3
         for r in rts:
             assert p.eval(r) == GaussianRational(0)
+
+
+def test_float_eval_converts_each_coefficient_once(monkeypatch):
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return complex(x)
+
+    monkeypatch.setattr(poly_module, "to_complex", counting)
+    p = Polynomial([GaussianRational("1/2", 1), 3, GaussianRational(0, -1), GaussianRational("5/7")])
+    values = {p.eval(0.3 + 0.4j) for _ in range(100)}
+    assert len(calls) == len(p.coeffs) == 4
+    assert values == {horner([0.5 + 1j, 3, -1j, 5 / 7], 0.3 + 0.4j)}
+    p.eval(np.array([0.1j, 2.0]))
+    assert p.to_complex_coeffs() == (0.5 + 1j, 3 + 0j, -1j, 5 / 7 + 0j)
+    assert len(calls) == 4
+    # exact points on exact data stay exact and convert nothing
+    assert p.eval(GaussianRational(1)) == sum(p.coeffs, GaussianRational(0))
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[], [GaussianRational(2, -1)], [1, GaussianRational("1/3", 2), 0, -4], [0.5j, 1.5, -2.0 + 1j]],
+)
+def test_array_eval_matches_scalar_eval(coeffs):
+    p = Polynomial(coeffs)
+    z = np.array([0.0, 1.0, -0.7 + 0.2j, 1.3j, 2.5 - 1.5j])
+    values = p.eval(z)
+    assert isinstance(values, np.ndarray) and values.shape == z.shape
+    assert values.dtype == complex
+    for w, v in zip(z, values):
+        assert v == pytest.approx(p.eval(complex(w)), rel=1e-15, abs=1e-15)
+    grid = p.eval(z.reshape(5, 1) * np.array([1.0, -1.0]))
+    assert grid.shape == (5, 2)
+    assert np.allclose(grid[:, 0], values, rtol=1e-15, atol=0.0)
 
 
 def test_roots_simple_pair():
