@@ -488,13 +488,15 @@ def half_domain_mesh(psis, rho, n_r=8, n_theta=64, metadata=None):
     prefix = np.concatenate([np.zeros_like(arc[:, :1]), arc], axis=1)
 
     # then radially from e^{i theta_i} out to each ring radius r, 24 steps;
-    # rays[jr, i, s] = (1 + (r_jr - 1) s / 24) e^{i theta_i}
+    # one ring at a time keeps the arrays small
     n_steps = 24
-    radii = 1.0 + (r_hi - 1.0) * np.arange(n_r) / (n_r - 1)
-    ray_r = 1.0 + np.multiply.outer(radii - 1.0, np.arange(n_steps + 1)) / n_steps
-    rays = ray_r[:, None, :] * _circle(n_theta)[:, None]
-    coords = (prefix[:, None, :] + trapezoid_steps(rays).sum(axis=-1)).real
-    vertices = coords.reshape(len(psis), n_r * n_theta).T.tolist()
+    direction = _circle(n_theta)[:, None]
+    rings = []
+    for jr in range(n_r):
+        r = 1.0 + (r_hi - 1.0) * jr / (n_r - 1)
+        rays = (1.0 + (r - 1.0) * np.arange(n_steps + 1) / n_steps) * direction
+        rings.append(prefix + trapezoid_steps(rays).sum(axis=-1))
+    vertices = np.concatenate(rings, axis=1).real.T.tolist()
     faces = []
     for jr in range(n_r - 1):
         for it in range(n_theta):
