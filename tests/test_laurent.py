@@ -111,7 +111,7 @@ def test_array_eval_matches_scalar_eval(text):
     values = p.eval(z)
     assert isinstance(values, np.ndarray) and values.shape == z.shape
     for w, v in zip(z, values):
-        assert v == pytest.approx(p.eval(complex(w)), rel=1e-14, abs=1e-300)
+        assert v == pytest.approx(p.eval(complex(w)), rel=1e-14)
 
 
 def test_array_eval_rejects_zero_with_negative_exponents():

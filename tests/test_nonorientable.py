@@ -4,7 +4,6 @@ conditions, pullback forms, bounds, and report assembly."""
 import cmath
 import math
 
-import numpy as np
 import pytest
 
 from minsurf4.domains import derive_rng
