@@ -12,8 +12,8 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, RunConfig, load_config
-from .domains import PuncturedPlane, derive_rng, sample_grid
+from .config import ConfigError, load_config
+from .domains import PuncturedPlane, derive_rng
 from .errors import MinSurfError
 from .gaussmap import FalsifyBounds, exceptional_values, falsify, verify_main_inequality
 from .lagrangian import (
@@ -23,9 +23,9 @@ from .lagrangian import (
     metric_curvature,
     nondegenerate,
 )
-from .meshing import annulus_grid, export_mesh, mesh_hash, mesh_text, plane_grid, write_mesh
+from .meshing import annulus_grid, export_mesh, mesh_hash, mesh_text, plane_grid
 from .metric import MetricSpec, is_complete
-from .nonorientable import FCandidate, assemble_report, build_f
+from .nonorientable import assemble_report, build_f
 from .poly import Polynomial
 from .rational import RationalFunction, format_rational
 from .report import (
@@ -36,7 +36,7 @@ from .report import (
     rows_to_csv,
     write_text_atomic,
 )
-from .scalars import format_scalar, parse_scalar, to_complex
+from .scalars import parse_scalar, to_complex
 from .weierstrass import (
     check_conformality,
     check_regularity,
@@ -153,7 +153,7 @@ def cmd_gen_example(args):
 
 def cmd_falsify(args):
     bounds = FalsifyBounds(require_complete=not args.allow_incomplete)
-    summary, rows = falsify(args.seed, args.n, bounds=bounds, workers=args.workers)
+    summary, rows = falsify(args.seed, args.n, bounds=bounds)
     row_dicts = [r.to_dict() for r in rows]
     csv_text = rows_to_csv(row_dicts, FALSIFY_FIELDS)
     report = build_report(
@@ -224,7 +224,7 @@ def cmd_lagrangian(args):
         cfg.raw,
         results,
         cfg_hash=config_hash(cfg.raw_text),
-        tolerances={"tolerance": args.tol, "stencil": 1e-3},
+        tolerances={"stencil": 1e-3},
     )
     _emit(args, report)
     return 0
@@ -256,11 +256,7 @@ def cmd_nonorientable(args):
         cfg.raw,
         {"pipeline": rep.to_dict()},
         cfg_hash=config_hash(cfg.raw_text),
-        tolerances={
-            "slack": block["slack"],
-            "loop_tol": block["loop_tol"],
-            "tolerance": args.tol,
-        },
+        tolerances={"slack": block["slack"], "loop_tol": block["loop_tol"]},
     )
     _emit(args, report, extra_files=extra)
     return 0 if rep.passed else 2
@@ -305,7 +301,7 @@ def cmd_mesh(args):
         cfg.raw,
         results,
         cfg_hash=config_hash(cfg.raw_text),
-        tolerances={"tolerance": args.tol},
+        tolerances={},
     )
     extra = []
     if args.out:
@@ -318,7 +314,6 @@ def _add_common(sub, config_required=True):
     if config_required:
         sub.add_argument("--config", required=True, help="path to the JSON run config")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sub.add_argument("--tol", type=float, default=1e-8, help="numeric tolerance")
     sub.add_argument("--out", default=None, help="directory for report artifacts")
     sub.add_argument(
         "--format", choices=("json", "csv"), default="json", help="stdout format"
@@ -345,7 +340,6 @@ def build_parser():
 
     sub = subs.add_parser("falsify", help="random search for inequality violations")
     sub.add_argument("--n", type=int, default=1000, help="instance count")
-    sub.add_argument("--workers", type=int, default=None, help="thread pool size")
     sub.add_argument(
         "--allow-incomplete",
         action="store_true",

@@ -4,7 +4,7 @@ Scalars, polynomials, rational functions, and Laurent polynomials appear as
 strings in the grammars of `parse_scalar`, `parse_poly`, `parse_rational`,
 and `parse_laurent`, so rational data stays exact through the file format.
 Floats are accepted only where a quantity is genuinely real-valued (R, beta,
-tolerances, slack).
+slack, loop_tol).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .errors import ConfigError
 from .laurent import parse_laurent
 from .lagrangian import HolomorphicPair, LagrangianSpec
 from .metric import MetricSpec
-from .nonorientable import SymmetricLaurentData, build_f
+from .nonorientable import SymmetricLaurentData
 from .rational import parse_rational
 from .scalars import parse_scalar
 from .sphere import SpherePoint
@@ -200,7 +200,6 @@ class RunConfig:
         "raw_text",
         "raw",
         "seed",
-        "tolerance",
         "domain",
         "metric",
         "weierstrass",
@@ -222,8 +221,6 @@ class RunConfig:
         if not isinstance(seed, int):
             raise ConfigError("seed must be an integer")
         object.__setattr__(self, "seed", seed)
-        tol = raw.get("tolerance", 1e-8)
-        object.__setattr__(self, "tolerance", _positive(tol, "tolerance"))
         for name, parser in (
             ("domain", parse_domain),
             ("metric", parse_metric),

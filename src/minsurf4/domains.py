@@ -12,7 +12,7 @@ import random
 
 from .errors import DomainError, InfeasibleSampling
 from .scalars import as_scalar, is_exact, to_complex
-from .sphere import INFINITY, SpherePoint, chordal, format_point
+from .sphere import INFINITY, SpherePoint, format_point
 
 PUNCTURE = "puncture"
 AT_INFINITY = "infinity"

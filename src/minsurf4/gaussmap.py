@@ -9,15 +9,14 @@ counterexamples; falsify hammers it with seeded random instances.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .errors import ConstantMapError, DomainError, FlatSurfaceError, RequiresExactMode
+from .errors import ConstantMapError, DomainError, FlatSurfaceError
 from .domains import PuncturedPlane, derive_rng
 from .metric import MetricSpec, is_complete
 from .poly import Polynomial, multiplicity_at, roots
 from .rational import INF, MoebiusTransform, RationalFunction
-from .scalars import GaussianRational, as_scalar, is_exact, to_complex
+from .scalars import GaussianRational, is_exact, to_complex
 from .sphere import INFINITY, SpherePoint, dedupe_points, format_point
 
 APPROX_TOL = 1e-7
@@ -411,8 +410,7 @@ class FalsifyRow:
         }
 
 
-def _run_one(args):
-    seed, index, bounds = args
+def _run_one(seed, index, bounds):
     attempts = 200 if bounds.require_complete else 1
     spec = domain = None
     for attempt in range(attempts):
@@ -435,22 +433,16 @@ def _run_one(args):
     )
 
 
-def falsify(seed, n_instances, bounds=None, workers=None):
+def falsify(seed, n_instances, bounds=None):
     """Random-instance sweep; returns (summary dict, rows).
 
     Deterministic for fixed seed and bounds: each instance derives its RNG
-    from (seed, index), and the worker pool maps in input order, so the
-    worker count cannot change the output.
+    from (seed, index).
     """
     if n_instances < 0:
         raise DomainError("instance count must be nonnegative")
     bounds = bounds or FalsifyBounds()
-    tasks = [(seed, i, bounds) for i in range(n_instances)]
-    if workers and workers > 1 and n_instances > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_one, tasks))
-    else:
-        rows = [_run_one(t) for t in tasks]
+    rows = [_run_one(seed, i, bounds) for i in range(n_instances)]
     summary = {
         "instances": n_instances,
         "complete": sum(1 for r in rows if r.complete is True),

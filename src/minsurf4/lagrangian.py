@@ -226,19 +226,6 @@ def lagrangian_minimality_check(spec, z, h=1e-3, drop_phase_coord=None):
     return symp, harm
 
 
-def conformality_residual(spec, z, h=1e-3):
-    """|‖f_x‖^2 - ‖f_y‖^2| + |<f_x, f_y>|, scaled by the column norms."""
-    fn = lambda w: immersion_xyzw(spec, w)
-    _, fxp, fxm, fyp, fym = _stencil_vals(fn, z, h)
-    dx = [(a - b) / (2 * h) for a, b in zip(fxp, fxm)]
-    dy = [(a - b) / (2 * h) for a, b in zip(fyp, fym)]
-    nx = sum(v * v for v in dx)
-    ny = sum(v * v for v in dy)
-    dot = sum(a * b for a, b in zip(dx, dy))
-    scale = max(1.0, nx, ny)
-    return (abs(nx - ny) + abs(dot)) / scale
-
-
 def gauss_components(spec):
     """The pair (g, e^{i beta}) attached to the surface; the constant second
     component is reported raw."""

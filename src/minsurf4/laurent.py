@@ -1,84 +1,73 @@
 """Laurent polynomials on the punctured plane.
 
-Stored as an offset (lowest exponent) plus ascending coefficients. Exactness
-follows the same rule as Polynomial: all Gaussian-rational coefficients, or
-everything demoted to complex.
+A Laurent polynomial is z^lo * poly for one Polynomial whose constant term is
+nonzero (lo = 0 for zero), so the ring operations, exactness and the float
+kernel are Polynomial's; this module adds only the shift.
 """
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
 from .errors import DomainError
-from .poly import Polynomial, horner
-from .scalars import GaussianRational, as_scalar, conj, format_scalar, parse_scalar, to_complex
-
-
-def _norm(lo, coeffs):
-    vals = [as_scalar(c) for c in coeffs]
-    exact = all(isinstance(v, GaussianRational) for v in vals)
-    if not exact:
-        vals = [to_complex(v) for v in vals]
-    while vals and not vals[0]:
-        vals.pop(0)
-        lo += 1
-    while vals and not vals[-1]:
-        vals.pop()
-    if not vals:
-        lo = 0
-    return lo, tuple(vals), exact
+from .poly import Polynomial, conj_reflect, format_terms, horner, parse_terms
+from .scalars import as_scalar, to_complex
 
 
 class LaurentPoly:
-    # _ccoeffs: the complex coefficient tuple, built on first float use
-    __slots__ = ("lo", "coeffs", "exact", "_ccoeffs")
+    """z^lo * poly; coeffs is a Polynomial or ascending coefficients from z^lo."""
+
+    __slots__ = ("lo", "poly")
 
     def __init__(self, lo=0, coeffs=()):
-        lo, vals, exact = _norm(lo, coeffs)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "coeffs", vals)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "_ccoeffs", None if exact else vals)
+        poly = coeffs if isinstance(coeffs, Polynomial) else Polynomial(coeffs)
+        vals = poly.coeffs
+        k = 0
+        while k < len(vals) and not vals[k]:
+            k += 1
+        if k:
+            poly = Polynomial(vals[k:])
+        object.__setattr__(self, "lo", lo + k if vals else 0)
+        object.__setattr__(self, "poly", poly)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    @property
+    def coeffs(self):
+        """Ascending coefficients from z^lo."""
+        return self.poly.coeffs
+
+    @property
+    def exact(self):
+        return self.poly.exact
+
     @classmethod
     def from_dict(cls, terms):
         """Build from {exponent: coefficient}."""
-        if not terms:
-            return cls()
-        lo = min(terms)
-        hi = max(terms)
-        return cls(lo, [terms.get(k, 0) for k in range(lo, hi + 1)])
-
-    @classmethod
-    def from_poly(cls, p):
-        return cls(0, p.coeffs)
-
-    @classmethod
-    def constant(cls, c):
-        return cls(0, [c])
+        lo = min(terms, default=0)
+        return cls(lo, [terms.get(k, 0) for k in range(lo, max(terms, default=-1) + 1)])
 
     def is_zero(self):
-        return not self.coeffs
+        return self.poly.is_zero()
 
     @property
     def hi(self):
         if self.is_zero():
             return 0
-        return self.lo + len(self.coeffs) - 1
+        return self.lo + self.poly.degree
 
     def coeff(self, n):
-        i = n - self.lo
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return GaussianRational(0) if self.exact else 0j
+        return self.poly.coeff(n - self.lo)
 
     def terms(self):
         return {self.lo + i: c for i, c in enumerate(self.coeffs)}
+
+    def _padded(self, lo):
+        """z^(self.lo - lo) * poly, as a Polynomial, for lo <= self.lo."""
+        if lo == self.lo:
+            return self.poly
+        return Polynomial([0] * (self.lo - lo) + list(self.coeffs))
 
     # -- ring operations -------------------------------------------------------
 
@@ -86,11 +75,11 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, Polynomial):
-            return LaurentPoly.from_poly(other)
+            return LaurentPoly(0, other)
         if isinstance(other, str):
             return None
         try:
-            return LaurentPoly.constant(as_scalar(other))
+            return LaurentPoly(0, [as_scalar(other)])
         except TypeError:
             return None
 
@@ -103,13 +92,12 @@ class LaurentPoly:
         if o.is_zero():
             return self
         lo = min(self.lo, o.lo)
-        hi = max(self.hi, o.hi)
-        return LaurentPoly(lo, [self.coeff(n) + o.coeff(n) for n in range(lo, hi + 1)])
+        return LaurentPoly(lo, self._padded(lo) + o._padded(lo))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.lo, [-c for c in self.coeffs])
+        return LaurentPoly(self.lo, -self.poly)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -127,14 +115,7 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return LaurentPoly()
-        out = [None] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(o.coeffs):
-                t = a * b
-                out[i + j] = t if out[i + j] is None else out[i + j] + t
-        return LaurentPoly(self.lo + o.lo, out)
+        return LaurentPoly(self.lo + o.lo, self.poly * o.poly)
 
     __rmul__ = __mul__
 
@@ -142,7 +123,7 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.lo == o.lo and self.coeffs == o.coeffs
+        return self.lo == o.lo and self.poly == o.poly
 
     def __hash__(self):
         return hash((self.lo, self.coeffs))
@@ -158,28 +139,19 @@ class LaurentPoly:
             raise DomainError("covering exponent must be a positive integer")
         if self.is_zero():
             return self
-        terms = {}
-        for n, c in self.terms().items():
-            terms[n * k] = c
-        return LaurentPoly.from_dict(terms)
+        return LaurentPoly.from_dict({n * k: c for n, c in self.terms().items()})
 
     def i0_pullback(self):
         """The function z -> conj(self(-1/conj(z))) as a Laurent polynomial.
 
-        Sends the coefficient at z^n to (-1)^n conj(c_n) at z^{-n}.
+        Sends the coefficient at z^n to (-1)^n conj(c_n) at z^{-n}: with
+        d = deg poly this is (-1)^lo z^{-lo-d} conj_reflect(poly, d).
         """
-        terms = {}
-        for n, c in self.terms().items():
-            cc = conj(c)
-            terms[-n] = -cc if n % 2 else cc
-        return LaurentPoly.from_dict(terms)
+        q = conj_reflect(self.poly, self.poly.degree)
+        return LaurentPoly(-self.hi, -q if self.lo % 2 else q)
 
     def derivative(self):
-        terms = {}
-        for n, c in self.terms().items():
-            if n != 0:
-                terms[n - 1] = n * c
-        return LaurentPoly.from_dict(terms)
+        return LaurentPoly.from_dict({n - 1: n * c for n, c in self.terms().items() if n})
 
     def eval(self, z):
         """Complex evaluation at a point or, elementwise, at a numpy array of
@@ -187,26 +159,16 @@ class LaurentPoly:
         zz = z if isinstance(z, (complex, np.ndarray)) else to_complex(z)
         if self.lo < 0 and np.any(zz == 0):
             raise ZeroDivisionError("Laurent polynomial evaluated at 0")
-        return horner(self.to_complex_coeffs(), zz) * zz**self.lo
-
-    def to_complex_coeffs(self):
-        """Ascending complex coefficients from z^lo, converted once and cached."""
-        if self._ccoeffs is None:
-            object.__setattr__(self, "_ccoeffs", tuple(to_complex(c) for c in self.coeffs))
-        return self._ccoeffs
+        return horner(self.poly.to_complex_coeffs(), zz) * zz**self.lo
 
     __call__ = eval
 
     def times_z_power(self, k):
-        return LaurentPoly(self.lo + k, self.coeffs)
+        return LaurentPoly(self.lo + k, self.poly)
 
     def poly_part(self):
         """z^{-lo} * self as a Polynomial when lo <= 0, else z-padded."""
-        if self.is_zero():
-            return Polynomial()
-        if self.lo >= 0:
-            return Polynomial([0] * self.lo + list(self.coeffs))
-        return Polynomial(self.coeffs)
+        return self._padded(min(self.lo, 0))
 
     def __repr__(self):
         return f"LaurentPoly({format_laurent(self)!r})"
@@ -215,55 +177,11 @@ class LaurentPoly:
         return format_laurent(self)
 
 
-# -- text grammar ----------------------------------------------------------------
-
-_LTERM_RE = re.compile(
-    r"^(?P<sign>[+-]?)(?:\((?P<coef>[^()]*)\)\*?)?(?P<var>z)?(?:\^(?P<exp>-?\d+))?$"
-)
-_SPLIT_RE = re.compile(r"(?<!\^)(?=[+-](?![^()]*\)))")
-
-
 def format_laurent(p, var="z"):
-    if p.is_zero():
-        return "0"
-    parts = []
-    for n in range(p.hi, p.lo - 1, -1):
-        c = p.coeff(n)
-        if not c:
-            continue
-        cs = format_scalar(c)
-        if n == 0:
-            parts.append(f"({cs})")
-        elif n == 1:
-            parts.append(f"({cs})*{var}")
-        else:
-            parts.append(f"({cs})*{var}^{n}")
-    return " + ".join(parts)
+    """(c)*z^n terms, highest exponent first, joined by +."""
+    return format_terms(p.terms(), var)
 
 
 def parse_laurent(text, exact=True, var="z"):
-    s = text.strip()
-    if s in ("0", "(0)"):
-        return LaurentPoly()
-    chunks = [c for c in _SPLIT_RE.split(s.replace(" ", "")) if c]
-    terms = {}
-    for chunk in chunks:
-        m = _LTERM_RE.match(chunk)
-        if not m or (m.group("var") is None and m.group("coef") is None):
-            val = parse_scalar(chunk, exact=exact)
-            terms[0] = terms.get(0, 0) + val
-            continue
-        sign = -1 if m.group("sign") == "-" else 1
-        coef_txt = m.group("coef")
-        if coef_txt is not None:
-            val = parse_scalar(coef_txt, exact=exact)
-        else:
-            val = GaussianRational(1) if exact else 1 + 0j
-        if m.group("var") is None:
-            if m.group("exp") is not None:
-                raise ValueError(f"exponent without variable in {chunk!r}")
-            n = 0
-        else:
-            n = int(m.group("exp")) if m.group("exp") is not None else 1
-        terms[n] = terms.get(n, 0) + sign * val
-    return LaurentPoly.from_dict(terms)
+    """The Laurent polynomial written in the grammar of parse_terms."""
+    return LaurentPoly.from_dict(parse_terms(text, exact, negative=True))

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import warnings
 
 from .errors import DomainError, IrregularData
-from .domains import Annulus, PuncturedPlane
+from .report import write_text_atomic
 from .scalars import to_complex
 from .weierstrass import _singular_locus, check_regularity, immerse
 
@@ -62,13 +61,7 @@ def mesh_text(mesh):
 
 def write_mesh(mesh, path):
     """Atomic write; returns the sha256 of the written bytes."""
-    text = mesh_text(mesh)
-    data = text.encode("ascii")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-    return hashlib.sha256(data).hexdigest()
+    return write_text_atomic(path, mesh_text(mesh))
 
 
 def mesh_hash(mesh):
@@ -129,11 +122,6 @@ def annulus_grid(r_lo, r_hi, n_r, n_theta, center=0j, theta_range=None):
             faces.append((a, b, d))
             faces.append((a, d, cc))
     return points, faces
-
-
-def polar_patch(center, r_lo, r_hi, n_r, n_theta):
-    """Annular patch around a puncture."""
-    return annulus_grid(r_lo, r_hi, n_r, n_theta, center=center)
 
 
 def export_mesh(p, domain, grid, base, tol=1e-9, metadata=None, path=None):

@@ -15,7 +15,6 @@ radial integral, so the radial rate decides all paths.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
@@ -27,18 +26,10 @@ from .errors import (
     ExponentUndefined,
     InvalidPath,
 )
-from .domains import (
-    AT_INFINITY,
-    INNER_CIRCLE,
-    OUTER_CIRCLE,
-    PUNCTURE,
-    Annulus,
-    BoundaryPoint,
-    PuncturedPlane,
-)
+from .domains import AT_INFINITY, INNER_CIRCLE, OUTER_CIRCLE, BoundaryPoint
 from .rational import INF, RationalFunction
-from .scalars import GaussianRational, as_scalar, is_exact, to_complex
-from .sphere import SpherePoint, format_point
+from .scalars import as_scalar, is_exact, to_complex
+from .sphere import SpherePoint
 
 COMPLETENESS_RULE = (
     "complete at b iff sigma(b) <= -1, where sigma(b) = ord_b(omega_hat) "

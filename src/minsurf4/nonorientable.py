@@ -36,21 +36,13 @@ from .meshing import Mesh
 from .poly import Polynomial, roots
 from .rational import RationalFunction
 from .scalars import GaussianRational, as_scalar, conj, format_scalar, is_exact, to_complex
-from .sphere import SpherePoint, antipodal, chordal, dedupe_points, format_point, rp2_count
+from .sphere import SpherePoint, dedupe_points, format_point, missing_antipode, rp2_count
 
 
 class InvolutionSpec:
     """I(z) = -1/conj(z); fixed-point-free since |z|^2 = -1 has no solution."""
 
-    __slots__ = ("kind",)
-
-    def __init__(self, kind="annulus"):
-        if kind not in ("plane", "annulus"):
-            raise DomainError("kind must be 'plane' or 'annulus'")
-        object.__setattr__(self, "kind", kind)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InvolutionSpec is immutable")
+    __slots__ = ()
 
     @staticmethod
     def apply(z):
@@ -94,15 +86,7 @@ def check_weierstrass_symmetry(w):
 
 def involution_omitted_closure(points, tol=0.0):
     """True iff the set is closed under the antipodal map."""
-    pts = dedupe_points(points, tol)
-    for p in pts:
-        q = antipodal(p)
-        if tol == 0.0:
-            if not any(q == r for r in pts):
-                return False
-        elif not any(chordal(q, r) <= tol for r in pts):
-            return False
-    return True
+    return missing_antipode(dedupe_points(points, tol), tol) is None
 
 
 def validate_symmetric_laurent(phi):
@@ -582,6 +566,17 @@ def assemble_report(
         else:
             ok("laurent-symmetry", {"a0": [format_scalar(a) for a in data.a0()]})
 
+    # |f| bounds first: they fix the admissible covering degree, so the forms
+    # are pulled back once, at that degree; the stage is recorded in its place
+    # below
+    bounds_error = None
+    if failed is None:
+        try:
+            bounds = f_bounds(f, R, cover.k)
+            cover = CoverSpec(bounds.k, f.m)
+        except (KSearchExhausted, DomainError) as e:
+            bounds_error = str(e)
+
     # stage: residue conditions and psi assembly
     if failed is None:
         try:
@@ -612,25 +607,14 @@ def assemble_report(
 
     # stage: |f| bounds on the covering annulus
     if failed is None:
-        try:
-            bounds = f_bounds(f, R, cover.k)
+        if bounds is None:
+            fail("f-bounds", {"error": bounds_error})
+        else:
             k_used = bounds.k
             detail = bounds.to_dict()
-            if k_used != cover.k:
-                detail["escalated_from"] = cover.k
+            if k_used != k:
+                detail["escalated_from"] = k
             ok("f-bounds", detail)
-        except (KSearchExhausted, DomainError) as e:
-            fail("f-bounds", {"error": str(e)})
-
-    # stages after escalation use the admissible covering degree
-    if failed is None and k_used != cover.k:
-        try:
-            cover = CoverSpec(k_used, f.m)
-            psis, symmetric = pullback_psi(data, f, cover)
-            if not symmetric:
-                fail("psi-assembly", {"error": "escalated pullback lost symmetry"})
-        except (PeriodObstruction, DomainError) as e:
-            fail("f-bounds", {"error": f"escalated k unusable: {e}"})
 
     # stage: sandwich inequality
     if failed is None:

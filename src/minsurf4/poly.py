@@ -57,6 +57,11 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
+    def from_dict(cls, terms):
+        """Build from {exponent: coefficient} with exponents >= 0."""
+        return cls([terms.get(k, 0) for k in range(max(terms, default=-1) + 1)])
+
+    @classmethod
     def constant(cls, c):
         return cls([c])
 
@@ -209,16 +214,6 @@ class Polynomial:
         lead = self.leading()
         return Polynomial([c / lead for c in self.coeffs])
 
-    def conj_coeffs(self):
-        return Polynomial([conj(c) for c in self.coeffs])
-
-    def reversed_to(self, n):
-        """z^n * p(1/z) as a polynomial; requires n >= degree."""
-        if n < self.degree:
-            raise DomainError("reversal order below degree")
-        out = [self.coeff(n - k) for k in range(n + 1)]
-        return Polynomial(out)
-
     def compose(self, inner):
         inner = _as_poly(inner)
         out = Polynomial()
@@ -248,6 +243,16 @@ def _as_poly(x):
         return Polynomial([as_scalar(x)])
     except TypeError:
         return None
+
+
+def conj_reflect(p, n):
+    """z^n * conj(p)(-1/z) for n >= deg p: the coefficient a_k of z^k goes to
+    (-1)^k conj(a_k) at z^{n-k}."""
+    out = [0] * (n + 1)
+    for k, a in enumerate(p.coeffs):
+        c = conj(a)
+        out[n - k] = -c if k % 2 else c
+    return Polynomial(out)
 
 
 def gcd(a, b):
@@ -399,47 +404,49 @@ def multiplicity_at(p, point):
     return m
 
 
-# -- text grammar ------------------------------------------------------------
+# -- text grammar, shared with LaurentPoly ------------------------------------
 
-_TERM_SPLIT = re.compile(r"(?=[+-](?![^()]*\)))")
-_POW_RE = re.compile(r"^(?P<sign>[+-]?)\s*(?:\((?P<coef>[^()]*)\)\s*\*?\s*)?(?P<var>z)?(?:\^(?P<exp>-?\d+))?$")
+_SPLIT_RE = re.compile(r"(?<!\^)(?=[+-](?![^()]*\)))")
+_TERM_RE = re.compile(r"^(?P<sign>[+-]?)(?:\((?P<coef>[^()]*)\)\*?)?(?P<var>z)?(?:\^(?P<exp>-?\d+))?$")
 
 
-def format_poly(p, var="z"):
-    """Render with exact scalar coefficients: (c)*z^k terms joined by +."""
-    if p.is_zero():
-        return "0"
-    terms = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
+def format_terms(terms, var="z"):
+    """Render {exponent: coefficient} as (c)*z^n terms, highest exponent
+    first, joined by +; zero coefficients are left out."""
+    parts = []
+    for n in sorted(terms, reverse=True):
+        c = terms[n]
         if not c:
             continue
         cs = format_scalar(c)
-        if k == 0:
-            terms.append(f"({cs})")
-        elif k == 1:
-            terms.append(f"({cs})*{var}")
+        if n == 0:
+            parts.append(f"({cs})")
+        elif n == 1:
+            parts.append(f"({cs})*{var}")
         else:
-            terms.append(f"({cs})*{var}^{k}")
-    return " + ".join(terms)
+            parts.append(f"({cs})*{var}^{n}")
+    return " + ".join(parts) or "0"
 
 
-def parse_poly(text, exact=True, var="z"):
-    """Parse terms like (1/2)*z^3, z^2, -z, (3-2i), 5; '+'/'-' separated."""
+def parse_terms(text, exact=True, negative=False):
+    """{exponent: coefficient} of '+'/'-' separated terms such as (1/2)*z^3,
+    z^-2, -z, (3-2i) and 5. The splitter never cuts inside parentheses or
+    after '^'; negative exponents are refused unless negative is true."""
     s = text.strip()
     if s in ("0", "(0)"):
-        return Polynomial()
-    chunks = [c for c in _TERM_SPLIT.split(s.replace(" ", "")) if c]
-    coeffs = {}
-    for chunk in chunks:
-        m = _POW_RE.match(chunk)
+        return {}
+    terms = {}
+    for chunk in _SPLIT_RE.split(s.replace(" ", "")):
+        if not chunk:
+            continue
+        m = _TERM_RE.match(chunk)
         if not m or (m.group("var") is None and m.group("coef") is None):
             # bare scalar term such as 5, -3/2, 2i
             try:
                 val = parse_scalar(chunk, exact=exact)
             except ValueError as e:
-                raise ValueError(f"cannot parse polynomial term {chunk!r}") from e
-            coeffs[0] = coeffs.get(0, 0) + val
+                raise ValueError(f"cannot parse term {chunk!r}") from e
+            terms[0] = terms.get(0, 0) + val
             continue
         sign = -1 if m.group("sign") == "-" else 1
         coef_txt = m.group("coef")
@@ -450,11 +457,20 @@ def parse_poly(text, exact=True, var="z"):
         if m.group("var") is None:
             if m.group("exp") is not None:
                 raise ValueError(f"exponent without variable in {chunk!r}")
-            k = 0
+            n = 0
         else:
-            k = int(m.group("exp")) if m.group("exp") is not None else 1
-        if k < 0:
+            n = int(m.group("exp")) if m.group("exp") is not None else 1
+        if n < 0 and not negative:
             raise ValueError(f"negative exponent in polynomial term {chunk!r}")
-        coeffs[k] = coeffs.get(k, 0) + sign * val
-    n = max(coeffs) if coeffs else 0
-    return Polynomial([coeffs.get(k, 0) for k in range(n + 1)])
+        terms[n] = terms.get(n, 0) + sign * val
+    return terms
+
+
+def format_poly(p, var="z"):
+    """(c)*z^k terms, highest degree first, joined by +."""
+    return format_terms(dict(enumerate(p.coeffs)), var)
+
+
+def parse_poly(text, exact=True, var="z"):
+    """The polynomial written in the grammar of parse_terms."""
+    return Polynomial.from_dict(parse_terms(text, exact))

@@ -12,8 +12,8 @@ import cmath
 import numpy as np
 
 from .errors import DomainError, RequiresExactMode, UnsupportedPoint
-from .poly import Polynomial, format_poly, gcd, multiplicity_at, parse_poly, roots
-from .scalars import GaussianRational, as_scalar, conj, is_exact, to_complex
+from .poly import Polynomial, conj_reflect, format_poly, gcd, multiplicity_at, parse_poly, roots
+from .scalars import GaussianRational, as_scalar, is_exact, to_complex
 
 INF = object()  # marker for the point at infinity in order bookkeeping
 
@@ -263,8 +263,8 @@ class RationalFunction:
     def conj_reflect(self):
         """The function z -> conj(self(-1/conj(z))) as a rational function."""
         n = max(self.num.degree, self.den.degree)
-        num_r = _reflect_poly(self.num, n)
-        den_r = _reflect_poly(self.den, n)
+        num_r = conj_reflect(self.num, n)
+        den_r = conj_reflect(self.den, n)
         return RationalFunction(num_r, den_r)
 
     def __repr__(self):
@@ -272,15 +272,6 @@ class RationalFunction:
 
     def __str__(self):
         return format_rational(self)
-
-
-def _reflect_poly(p, n):
-    """z^n * conj_coeffs(p)(-1/z): coefficient a_k goes to (-1)^k conj(a_k) z^{n-k}."""
-    out = [0] * (n + 1)
-    for k in range(p.degree + 1):
-        c = conj(p.coeff(k))
-        out[n - k] = -c if k % 2 else c
-    return Polynomial(out)
 
 
 def _approx_mult(p, z, tol=1e-7):

@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import os
+import uuid
 
 SCHEMA_VERSION = 1
 
@@ -60,14 +61,23 @@ def _csv_cell(value):
 
 
 def write_text_atomic(path, text):
-    """Write via a sibling temp file and rename, so readers never see a
-    partial artifact."""
+    """Write text as UTF-8 via a uniquely named temp file beside path, then
+    rename: readers never see a partial artifact, and writers sharing a
+    directory never share a temp file. The temp file is removed on failure.
+    Returns the sha256 of the written bytes."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    data = text.encode("utf-8")
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return hashlib.sha256(data).hexdigest()
 
 
 def jsonable(value):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from fractions import Fraction
 
 from .errors import DomainError
 from .scalars import GaussianRational, as_scalar, format_scalar, is_exact, to_complex
@@ -182,10 +181,6 @@ def _canonical_rep(p):
     return p if _in_upper_half(p.value) else antipodal(p)
 
 
-def to_rp2(p):
-    return RP2Point(p)
-
-
 def dedupe_points(points, tol=0.0):
     """Collapse sphere points closer than tol in chordal distance.
 
@@ -203,13 +198,10 @@ def dedupe_points(points, tol=0.0):
     return out
 
 
-def rp2_count(points, tol=0.0):
-    """Number of distinct RP^2 classes among the given sphere points.
-
-    Warns when the set is not closed under the antipodal map, since omitted
-    sets of maps descending to RP^2 must be antipodally closed.
-    """
-    pts = dedupe_points(points, tol)
+def missing_antipode(pts, tol=0.0):
+    """For points as returned by dedupe_points: the antipode of the first one
+    whose antipode is not in the set, or None when the set is antipodally
+    closed."""
     for p in pts:
         q = antipodal(p)
         if tol == 0.0:
@@ -217,11 +209,23 @@ def rp2_count(points, tol=0.0):
         else:
             closed = any(chordal(q, r) <= tol for r in pts)
         if not closed:
-            warnings.warn(
-                f"point set is not antipodally closed: missing {format_point(q)}",
-                stacklevel=2,
-            )
-            break
+            return q
+    return None
+
+
+def rp2_count(points, tol=0.0):
+    """Number of distinct RP^2 classes among the given sphere points.
+
+    Warns when the set is not closed under the antipodal map, since omitted
+    sets of maps descending to RP^2 must be antipodally closed.
+    """
+    pts = dedupe_points(points, tol)
+    q = missing_antipode(pts, tol)
+    if q is not None:
+        warnings.warn(
+            f"point set is not antipodally closed: missing {format_point(q)}",
+            stacklevel=2,
+        )
     classes = []
     for p in pts:
         c = RP2Point(p)

@@ -23,9 +23,9 @@ from .errors import (
     RequiresExactMode,
 )
 from .domains import Annulus, PuncturedPlane
-from .poly import Polynomial, gcd_many, roots
-from .rational import INF, RationalFunction
-from .scalars import GaussianRational, as_scalar, is_exact, to_complex
+from .poly import gcd_many, roots
+from .rational import RationalFunction
+from .scalars import GaussianRational, to_complex
 from .sphere import SpherePoint, format_point
 
 I_HALF = GaussianRational(0, "1/2")

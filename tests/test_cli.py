@@ -126,6 +126,41 @@ def test_nonorientable_report_and_mesh(tmp_path, capsys):
     assert "identified-pairs" in mesh_file.read_text()
 
 
+def test_nonorientable_pulls_back_once_at_the_admitted_k(monkeypatch, capsys):
+    # the shipped config declares k = 3 and f_bounds admits k = 5: the forms
+    # are built once, at k = 5, and the report records that degree
+    import minsurf4.nonorientable as nonorientable
+
+    pulled_back_at = []
+    pullback_psi = nonorientable.pullback_psi
+
+    def counting(data, f, cover):
+        pulled_back_at.append(cover.k)
+        return pullback_psi(data, f, cover)
+
+    monkeypatch.setattr(nonorientable, "pullback_psi", counting)
+    code, out, _ = _run(["nonorientable", "--config", str(CONFIG_DIR / "moebius-strip.json")], capsys)
+    assert code == 0
+    assert pulled_back_at == [5]
+    rep = json.loads(out)
+    assert rep["tolerances"] == {"slack": 1e-12, "loop_tol": 1e-8}
+    pipeline = rep["results"]["pipeline"]
+    assert (pipeline["k_declared"], pipeline["k_used"]) == (3, 5)
+    stages = {s["stage"]: s for s in pipeline["stages"]}
+    assert stages["residue-conditions"]["details"] == {"k": 5}
+    assert stages["psi-assembly"]["details"]["components"][3] == (
+        "(-5i)*z^2 + (-5i)*z + (5i)*z^-1 + (-5i)*z^-2"
+    )
+    assert stages["f-bounds"]["details"]["escalated_from"] == 3
+
+
+def test_removed_options_are_rejected(capsys):
+    with pytest.raises(SystemExit):
+        main(["falsify", "--n", "1", "--workers", "2"])
+    with pytest.raises(SystemExit):
+        main(["verify-main", "--config", str(CONFIG_DIR / "prop-family-p4.json"), "--tol", "1e-6"])
+
+
 def test_nonorientable_failed_stage_exits_2(tmp_path, capsys):
     cfg = json.loads((CONFIG_DIR / "moebius-strip.json").read_text())
     cfg["nonorientable"]["loop_tol"] = 1e-30

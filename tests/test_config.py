@@ -36,7 +36,6 @@ def test_family_config_sections():
     spec = cfg.need("metric")
     assert [m for _, m in spec.factors] == [1, 1]
     assert cfg.weierstrass is None
-    assert cfg.tolerance == 1e-8
 
 
 def test_catenoid_config_sections():
@@ -71,10 +70,6 @@ def test_root_validation():
         RunConfig(json.dumps([1, 2]))
     with pytest.raises(ConfigError):
         _cfg({"seed": "zero"})
-    with pytest.raises(ConfigError):
-        _cfg({"tolerance": -1.0})
-    with pytest.raises(ConfigError):
-        _cfg({"tolerance": "big"})
 
 
 def test_domain_validation():

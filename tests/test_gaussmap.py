@@ -220,13 +220,11 @@ def test_falsify_empty():
     assert rows == []
 
 
-def test_falsify_deterministic_and_worker_independent():
+def test_falsify_deterministic():
     s1, rows1 = falsify(3, 30)
     s2, rows2 = falsify(3, 30)
-    s4, rows4 = falsify(3, 30, workers=4)
-    assert s1 == s2 == s4
+    assert s1 == s2
     assert [r.to_dict() for r in rows1] == [r.to_dict() for r in rows2]
-    assert [r.to_dict() for r in rows1] == [r.to_dict() for r in rows4]
     assert s1["counterexamples"] == 0
 
 

@@ -11,7 +11,6 @@ from minsurf4.errors import BadStencil, DegeneratePoint, DomainError
 from minsurf4.lagrangian import (
     HolomorphicPair,
     LagrangianSpec,
-    conformality_residual,
     corollary_bound_check,
     gauss_components,
     immersion_f,
@@ -173,12 +172,6 @@ def test_bad_stencil_rejected():
     pole_spec = LagrangianSpec.from_pair(HolomorphicPair(1 / z, z))
     with pytest.raises(BadStencil):
         lagrangian_minimality_check(pole_spec, 0.0)
-
-
-def test_conformality_residual_small():
-    spec = _parabola(math.pi / 5)
-    for z in (0.3 + 0.2j, -0.7 + 0.9j):
-        assert conformality_residual(spec, z) < 1e-5
 
 
 def test_gauss_components():

@@ -5,6 +5,7 @@ import pytest
 
 from minsurf4.domains import derive_rng
 from minsurf4.laurent import LaurentPoly, format_laurent, parse_laurent
+from minsurf4.poly import Polynomial
 from minsurf4.scalars import GaussianRational, conj
 
 
@@ -23,6 +24,9 @@ def test_normalization():
     assert p.lo == 0 and p.hi == 0
     assert LaurentPoly().is_zero()
     assert LaurentPoly.from_dict({}).is_zero()
+    # z^lo * poly with poly's constant term nonzero
+    q = LaurentPoly(-3, [0, 0, 1, 2])
+    assert (q.lo, q.hi, q.poly) == (-1, 0, Polynomial([1, 2]))
 
 
 def test_coeff_and_terms():

@@ -1,7 +1,6 @@
 """Structured grids, deterministic mesh text, and surface export."""
 
 import hashlib
-import os
 
 import pytest
 
@@ -14,7 +13,6 @@ from minsurf4.meshing import (
     mesh_hash,
     mesh_text,
     plane_grid,
-    polar_patch,
     write_mesh,
 )
 from minsurf4.rational import RationalFunction
@@ -59,12 +57,6 @@ def test_annulus_grid_validation():
         annulus_grid(0.5, 2.0, 1, 12)
 
 
-def test_polar_patch_centers():
-    points, _ = polar_patch(1 + 1j, 0.1, 0.2, 3, 8)
-    for z in points:
-        assert 0.1 - 1e-12 <= abs(z - (1 + 1j)) <= 0.2 + 1e-12
-
-
 def test_mesh_text_deterministic():
     mesh = Mesh([(0.0, 0.0, 0.0, 0.0), (1.0, 0.5, -0.25, 2.0)], [(0, 1, 1)], {"tag": "x"})
     t1 = mesh_text(mesh)
@@ -86,7 +78,7 @@ def test_write_mesh(tmp_path):
     digest = write_mesh(mesh, str(path))
     text = path.read_text()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
-    assert not os.path.exists(str(path) + ".tmp")
+    assert [p.name for p in tmp_path.iterdir()] == ["m.mesh"]
 
 
 def test_export_mesh_deterministic():

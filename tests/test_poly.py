@@ -204,3 +204,6 @@ def test_parse_examples():
     assert parse_poly("(-1i)") == Polynomial([GaussianRational(0, -1)])
     with pytest.raises(ValueError):
         parse_poly("z^^2")
+    # the grammar is shared with parse_laurent, which alone takes z^-n
+    with pytest.raises(ValueError, match="negative exponent"):
+        parse_poly("(1)*z + (1)*z^-1")

@@ -3,6 +3,8 @@
 import hashlib
 import json
 
+import pytest
+
 from minsurf4.report import (
     SCHEMA_VERSION,
     build_report,
@@ -77,6 +79,26 @@ def test_write_text_atomic(tmp_path):
     assert not (tmp_path / "out" / "report.json.tmp").exists()
     write_text_atomic(str(path), "second\n")
     assert path.read_text() == "second\n"
+
+
+def test_write_text_atomic_beside_a_stale_tmp_directory(tmp_path):
+    # a fixed "<path>.tmp" name would collide with this directory
+    path = tmp_path / "report.json"
+    (tmp_path / "report.json.tmp").mkdir()
+    digest = write_text_atomic(str(path), "text\n")
+    assert path.read_text() == "text\n"
+    assert digest == hashlib.sha256(b"text\n").hexdigest()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "report.json.tmp"]
+
+
+def test_write_text_atomic_removes_its_temp_file_on_failure(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    (target / "inside").write_text("x")
+    with pytest.raises(OSError):
+        write_text_atomic(str(target), "text\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert (target / "inside").read_text() == "x"
 
 
 def test_jsonable_coercions():

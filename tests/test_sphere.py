@@ -14,7 +14,6 @@ from minsurf4.sphere import (
     dedupe_points,
     format_point,
     rp2_count,
-    to_rp2,
 )
 from minsurf4.scalars import GaussianRational
 
@@ -89,9 +88,9 @@ def test_rp2_count_examples():
 
 
 def test_rp2_class_equality():
-    assert to_rp2(GaussianRational(2)) == to_rp2(GaussianRational("-1/2"))
-    assert to_rp2(GaussianRational(0)) == to_rp2(INFINITY)
-    assert to_rp2(GaussianRational(2)) != to_rp2(GaussianRational(3))
+    assert RP2Point(GaussianRational(2)) == RP2Point(GaussianRational("-1/2"))
+    assert RP2Point(GaussianRational(0)) == RP2Point(INFINITY)
+    assert RP2Point(GaussianRational(2)) != RP2Point(GaussianRational(3))
     rng = derive_rng(101, "rp2")
     for _ in range(60):
         a = _random_point(rng)
