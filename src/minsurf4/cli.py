@@ -245,7 +245,6 @@ def cmd_nonorientable(args):
         samples=block["samples"],
         seed=seed,
         slack=block["slack"],
-        loop_tol=block["loop_tol"],
         mesh_params=block["mesh"],
     )
     extra = []
@@ -256,7 +255,7 @@ def cmd_nonorientable(args):
         cfg.raw,
         {"pipeline": rep.to_dict()},
         cfg_hash=config_hash(cfg.raw_text),
-        tolerances={"slack": block["slack"], "loop_tol": block["loop_tol"]},
+        tolerances={"slack": block["slack"]},
     )
     _emit(args, report, extra_files=extra)
     return 0 if rep.passed else 2

@@ -4,7 +4,9 @@ Scalars, polynomials, rational functions, and Laurent polynomials appear as
 strings in the grammars of `parse_scalar`, `parse_poly`, `parse_rational`,
 and `parse_laurent`, so rational data stays exact through the file format.
 Floats are accepted only where a quantity is genuinely real-valued (R, beta,
-slack, loop_tol).
+box, slack). Every section lists the keys it reads and refuses any other, so
+a misspelt or retired key is an error rather than silently ignored; integer
+fields refuse booleans.
 """
 
 from __future__ import annotations
@@ -29,9 +31,20 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
-def _as_mapping(value, where):
+def _as_mapping(value, where, keys=None):
+    """value as an object; with keys given, one holding no other key."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be an object")
+    unknown = sorted(set(value) - set(keys)) if keys is not None else []
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: " + ", ".join(map(repr, unknown)))
+    return value
+
+
+def _integer(value, where, least):
+    """value as an int >= least; JSON booleans are not integers here."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{where} must be an integer >= {least}")
     return value
 
 
@@ -46,7 +59,7 @@ def _positive(value, where):
 
 
 def parse_domain(block):
-    block = _as_mapping(block, "domain")
+    block = _as_mapping(block, "domain", ("kind", "punctures", "R"))
     kind = _require(block, "kind", "domain")
     punctures = block.get("punctures", [])
     if not isinstance(punctures, list):
@@ -63,17 +76,15 @@ def parse_domain(block):
 
 
 def parse_metric(block):
-    block = _as_mapping(block, "metric")
+    block = _as_mapping(block, "metric", ("factors", "omega_hat"))
     factors_raw = _require(block, "factors", "metric")
     if not isinstance(factors_raw, list) or not factors_raw:
         raise ConfigError("metric factors must be a nonempty list")
     factors = []
     for i, item in enumerate(factors_raw):
-        item = _as_mapping(item, f"metric factor {i}")
+        item = _as_mapping(item, f"metric factor {i}", ("g", "m"))
         g_text = _require(item, "g", f"metric factor {i}")
-        m = _require(item, "m", f"metric factor {i}")
-        if not isinstance(m, int) or m < 0:
-            raise ConfigError(f"metric factor {i}: m must be a nonnegative integer")
+        m = _integer(_require(item, "m", f"metric factor {i}"), f"metric factor {i} m", 0)
         try:
             factors.append((parse_rational(str(g_text)), m))
         except ValueError as e:
@@ -86,7 +97,7 @@ def parse_metric(block):
 
 
 def parse_weierstrass(block):
-    block = _as_mapping(block, "weierstrass")
+    block = _as_mapping(block, "weierstrass", ("g1", "g2", "omega_hat"))
     try:
         g1 = parse_rational(str(_require(block, "g1", "weierstrass")))
         g2 = parse_rational(str(_require(block, "g2", "weierstrass")))
@@ -97,7 +108,7 @@ def parse_weierstrass(block):
 
 
 def parse_lagrangian(block):
-    block = _as_mapping(block, "lagrangian")
+    block = _as_mapping(block, "lagrangian", ("F1", "F2", "beta", "probes", "samples", "box"))
     try:
         f1 = parse_rational(str(_require(block, "F1", "lagrangian")))
         f2 = parse_rational(str(_require(block, "F2", "lagrangian")))
@@ -108,11 +119,17 @@ def parse_lagrangian(block):
         beta = float(beta)
     except (TypeError, ValueError):
         raise ConfigError("lagrangian beta must be a real number") from None
+    if "samples" in block:
+        _integer(block["samples"], "lagrangian samples", 1)
     return LagrangianSpec.from_pair(HolomorphicPair(f1, f2), beta=beta)
 
 
 def parse_nonorientable(block):
-    block = _as_mapping(block, "nonorientable")
+    block = _as_mapping(
+        block,
+        "nonorientable",
+        ("phi", "b", "k", "R", "declared_omitted", "samples", "slack", "mesh"),
+    )
     phi_raw = _require(block, "phi", "nonorientable")
     if not isinstance(phi_raw, list) or len(phi_raw) != 4:
         raise ConfigError("nonorientable phi must list four Laurent polynomials")
@@ -131,9 +148,7 @@ def parse_nonorientable(block):
         b = [parse_scalar(str(x)) for x in b_raw]
     except ValueError as e:
         raise ConfigError(f"nonorientable b: {e}") from None
-    k = _require(block, "k", "nonorientable")
-    if not isinstance(k, int):
-        raise ConfigError("nonorientable k must be an integer")
+    k = _integer(_require(block, "k", "nonorientable"), "nonorientable k", 1)
     R = _positive(_require(block, "R", "nonorientable"), "nonorientable R")
     if not R > 1.0:
         raise ConfigError("nonorientable R must exceed 1")
@@ -150,41 +165,41 @@ def parse_nonorientable(block):
         "k": k,
         "R": R,
         "declared_omitted": declared,
-        "samples": block.get("samples", 1000),
+        "samples": _integer(block.get("samples", 1000), "nonorientable samples", 1),
         "slack": _positive(block.get("slack", 1e-12), "nonorientable slack"),
-        "loop_tol": _positive(block.get("loop_tol", 1e-8), "nonorientable loop_tol"),
         "mesh": block.get("mesh"),
     }
-    if not isinstance(out["samples"], int) or out["samples"] < 1:
-        raise ConfigError("nonorientable samples must be a positive integer")
     if out["mesh"] is not None:
-        out["mesh"] = _as_mapping(out["mesh"], "nonorientable mesh")
+        mesh = _as_mapping(out["mesh"], "nonorientable mesh", ("n_r", "n_theta", "metadata"))
+        for key in ("n_r", "n_theta"):
+            if key in mesh:
+                _integer(mesh[key], f"nonorientable mesh {key}", 2)
     return out
 
 
+_GRID_KEYS = {"plane": ("x", "y", "nx", "ny"), "annulus": ("r", "n_r", "n_theta")}
+
+
 def parse_mesh(block):
-    block = _as_mapping(block, "mesh")
+    block = _as_mapping(block, "mesh", ("grid", "base", "filename"))
     grid = _as_mapping(_require(block, "grid", "mesh"), "mesh grid")
     kind = _require(grid, "kind", "mesh grid")
+    if kind not in _GRID_KEYS:
+        raise ConfigError(f"unknown mesh grid kind {kind!r}")
+    _as_mapping(grid, f"{kind} mesh grid", ("kind",) + _GRID_KEYS[kind])
     if kind == "plane":
         for key in ("x", "y"):
             rng = _require(grid, key, "mesh grid")
             if not (isinstance(rng, list) and len(rng) == 2):
                 raise ConfigError(f"mesh grid {key} must be [lo, hi]")
         for key in ("nx", "ny"):
-            n = _require(grid, key, "mesh grid")
-            if not isinstance(n, int) or n < 2:
-                raise ConfigError(f"mesh grid {key} must be an integer >= 2")
-    elif kind == "annulus":
+            _integer(_require(grid, key, "mesh grid"), f"mesh grid {key}", 2)
+    else:
         rng = _require(grid, "r", "mesh grid")
         if not (isinstance(rng, list) and len(rng) == 2 and 0 < float(rng[0]) < float(rng[1])):
             raise ConfigError("mesh grid r must be [lo, hi] with 0 < lo < hi")
         for key in ("n_r", "n_theta"):
-            n = _require(grid, key, "mesh grid")
-            if not isinstance(n, int) or n < 2:
-                raise ConfigError(f"mesh grid {key} must be an integer >= 2")
-    else:
-        raise ConfigError(f"unknown mesh grid kind {kind!r}")
+            _integer(_require(grid, key, "mesh grid"), f"mesh grid {key}", 2)
     base = str(block.get("base", "0"))
     try:
         parse_scalar(base)
@@ -213,22 +228,22 @@ class RunConfig:
             raw = json.loads(raw_text)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be an object")
-        object.__setattr__(self, "raw_text", raw_text)
-        object.__setattr__(self, "raw", raw)
-        seed = raw.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ConfigError("seed must be an integer")
-        object.__setattr__(self, "seed", seed)
-        for name, parser in (
+        sections = (
             ("domain", parse_domain),
             ("metric", parse_metric),
             ("weierstrass", parse_weierstrass),
             ("lagrangian", parse_lagrangian),
             ("nonorientable", parse_nonorientable),
             ("mesh", parse_mesh),
-        ):
+        )
+        _as_mapping(raw, "config root", ["seed"] + [name for name, _ in sections])
+        object.__setattr__(self, "raw_text", raw_text)
+        object.__setattr__(self, "raw", raw)
+        seed = raw.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ConfigError("seed must be an integer")
+        object.__setattr__(self, "seed", seed)
+        for name, parser in sections:
             block = raw.get(name)
             object.__setattr__(self, name, None if block is None else parser(block))
 

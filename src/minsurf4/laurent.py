@@ -177,11 +177,11 @@ class LaurentPoly:
         return format_laurent(self)
 
 
-def format_laurent(p, var="z"):
+def format_laurent(p):
     """(c)*z^n terms, highest exponent first, joined by +."""
-    return format_terms(p.terms(), var)
+    return format_terms(p.terms())
 
 
-def parse_laurent(text, exact=True, var="z"):
+def parse_laurent(text, exact=True):
     """The Laurent polynomial written in the grammar of parse_terms."""
     return LaurentPoly.from_dict(parse_terms(text, exact, negative=True))

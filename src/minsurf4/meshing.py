@@ -11,9 +11,10 @@ import math
 import warnings
 
 from .errors import DomainError, IrregularData
+from .poly import roots
 from .report import write_text_atomic
 from .scalars import to_complex
-from .weierstrass import _singular_locus, check_regularity, immerse
+from .weierstrass import check_regularity, immerse
 
 FLOAT_FMT = "%.17g"
 
@@ -124,7 +125,19 @@ def annulus_grid(r_lo, r_hi, n_r, n_theta, center=0j, theta_range=None):
     return points, faces
 
 
-def export_mesh(p, domain, grid, base, tol=1e-9, metadata=None, path=None):
+def _singular_locus(p, domain):
+    out = [to_complex(q) for q in domain.punctures]
+    for phi in p.phi:
+        if phi.den.degree > 0:
+            out.extend(z for z, _ in roots(phi.den))
+    dedup = []
+    for z in out:
+        if all(abs(z - w) > 1e-9 for w in dedup):
+            dedup.append(z)
+    return dedup
+
+
+def export_mesh(p, domain, grid, base, metadata=None, path=None):
     """Immerse a structured grid and triangulate it.
 
     grid is (points, faces) from one of the builders. Irregular data is
@@ -148,7 +161,7 @@ def export_mesh(p, domain, grid, base, tol=1e-9, metadata=None, path=None):
         alive.append(z)
     if skipped:
         warnings.warn(f"skipped {skipped} grid points at poles", stacklevel=2)
-    xs = immerse(p, domain, base, alive, tol=tol)
+    xs = immerse(p, domain, base, alive)
     new_faces = []
     for f in faces:
         if all(i in index_map for i in f):

@@ -11,8 +11,13 @@ data phi_j (with forms phi_j(z) dz/z):
     the unit circle;
   * vanishing residues of phi_j(z^k) f(z) dz/z for the odd covering degree k;
   * the pulled-back forms psi_j = k f(z) phi_j(z^k) dz/z, their symmetry,
-    conformality, loop periods, |f| sandwich bounds, and a half-domain mesh
-    with the identification z ~ -1/conj(z) recorded.
+    conformality, |f| sandwich bounds, and a half-domain mesh with the
+    identification z ~ -1/conj(z) recorded.
+
+psi_j = H_j(z) dz/z with H_j a Laurent polynomial, and the loop period
+int_{|z|=1} psi_j = 2 pi i c_0(H_j) is the residue that the exact residue
+condition already proves zero; so no loop period is integrated, and the
+mesh evaluates the Laurent-polynomial primitive of psi_j in closed form.
 """
 
 from __future__ import annotations
@@ -439,48 +444,30 @@ def sandwich_check(data, psis, bounds, rho, samples=1000, seed=0, slack=1e-12):
     return ok, worst
 
 
-def loop_periods_psi(psis, samples=4096):
-    """|∮_{|z|=1} psi_j| via the trapezoid rule on H_j(z) dz/z."""
-    z = _circle(samples)
-    return [abs(complex(np.sum(h.eval(z))) * 2j * math.pi / samples) for h in psis]
-
-
 def half_domain_mesh(psis, rho, n_r=8, n_theta=64, metadata=None):
     """Mesh of the fundamental half-annulus {1 <= |z| <= sqrt(rho)} for the
     identification z ~ -1/conj(z), which acts on the unit circle as the
     antipode e^{i t} -> -e^{i t}.
 
-    X(z) = Re int_1^z sum psi; integration runs along the unit circle and
-    then radially, with cumulative trapezoid steps. n_theta must be
-    even so identified circle vertices pair up exactly; pairs are recorded
-    in the metadata as vertex index pairs.
+    X(z) = Re int_1^z psi_j = Re sum_{n != 0} c_n (z^n - 1)/n for
+    H_j = sum c_n z^n: the residue condition makes c_0 = 0, so the primitive
+    is a Laurent polynomial, evaluated on the whole grid at once. n_theta
+    must be even so identified circle vertices pair up exactly; pairs are
+    recorded in the metadata as vertex index pairs.
     """
     if n_theta % 2:
         raise DomainError("n_theta must be even for the identification pairs")
+    bad = [j for j, h in enumerate(psis) if not _residue_vanishes(h.coeff(0))]
+    if bad:
+        raise PeriodObstruction(f"components {bad} have a z^0 term: psi has a loop period")
     r_hi = math.sqrt(rho)
-
-    def trapezoid_steps(z):
-        """Trapezoid terms of the four forms between neighbours on z's last axis."""
-        f = np.array([h.eval(z) / z for h in psis])
-        return 0.5 * (f[..., :-1] + f[..., 1:]) * np.diff(z)
-
-    # angular prefix integrals on the unit circle at theta_i = 2 pi i / n,
-    # 4 trapezoid steps per cell
-    steps = 4
-    circle = _circle(n_theta * steps)[: (n_theta - 1) * steps + 1]
-    arc = np.cumsum(trapezoid_steps(circle), axis=-1)[:, steps - 1 :: steps]
-    prefix = np.concatenate([np.zeros_like(arc[:, :1]), arc], axis=1)
-
-    # then radially from e^{i theta_i} out to each ring radius r, 24 steps;
-    # one ring at a time keeps the arrays small
-    n_steps = 24
-    direction = _circle(n_theta)[:, None]
-    rings = []
-    for jr in range(n_r):
-        r = 1.0 + (r_hi - 1.0) * jr / (n_r - 1)
-        rays = (1.0 + (r - 1.0) * np.arange(n_steps + 1) / n_steps) * direction
-        rings.append(prefix + trapezoid_steps(rays).sum(axis=-1))
-    vertices = np.concatenate(rings, axis=1).real.T.tolist()
+    radii = 1.0 + (r_hi - 1.0) * np.arange(n_r) / (n_r - 1)
+    z = (radii[:, None] * _circle(n_theta)).ravel()
+    coords = []
+    for h in psis:
+        primitive = LaurentPoly.from_dict({n: c / n for n, c in h.terms().items() if n})
+        coords.append((primitive.eval(z) - primitive.eval(1.0 + 0j)).real)
+    vertices = np.array(coords).T.tolist()
     faces = []
     for jr in range(n_r - 1):
         for it in range(n_theta):
@@ -509,7 +496,6 @@ def assemble_report(
     samples=1000,
     seed=0,
     slack=1e-12,
-    loop_tol=1e-8,
     mesh_params=None,
     raise_on_failure=False,
 ):
@@ -626,14 +612,6 @@ def assemble_report(
             ok("sandwich", {"samples": samples, "worst_margin": worst})
         else:
             fail("sandwich", {"worst_margin": worst})
-
-    # stage: loop periods of psi on |z| = 1
-    if failed is None:
-        periods = loop_periods_psi(psis)
-        if max(periods) < loop_tol:
-            ok("loop-periods", {"max_abs": max(periods)})
-        else:
-            fail("loop-periods", {"periods": periods})
 
     # stage: RP^2 counts of declared omitted sets
     if failed is None:

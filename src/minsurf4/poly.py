@@ -410,7 +410,7 @@ _SPLIT_RE = re.compile(r"(?<!\^)(?=[+-](?![^()]*\)))")
 _TERM_RE = re.compile(r"^(?P<sign>[+-]?)(?:\((?P<coef>[^()]*)\)\*?)?(?P<var>z)?(?:\^(?P<exp>-?\d+))?$")
 
 
-def format_terms(terms, var="z"):
+def format_terms(terms):
     """Render {exponent: coefficient} as (c)*z^n terms, highest exponent
     first, joined by +; zero coefficients are left out."""
     parts = []
@@ -422,9 +422,9 @@ def format_terms(terms, var="z"):
         if n == 0:
             parts.append(f"({cs})")
         elif n == 1:
-            parts.append(f"({cs})*{var}")
+            parts.append(f"({cs})*z")
         else:
-            parts.append(f"({cs})*{var}^{n}")
+            parts.append(f"({cs})*z^{n}")
     return " + ".join(parts) or "0"
 
 
@@ -466,11 +466,11 @@ def parse_terms(text, exact=True, negative=False):
     return terms
 
 
-def format_poly(p, var="z"):
+def format_poly(p):
     """(c)*z^k terms, highest degree first, joined by +."""
-    return format_terms(dict(enumerate(p.coeffs)), var)
+    return format_terms(dict(enumerate(p.coeffs)))
 
 
-def parse_poly(text, exact=True, var="z"):
+def parse_poly(text, exact=True):
     """The polynomial written in the grammar of parse_terms."""
     return Polynomial.from_dict(parse_terms(text, exact))

@@ -374,19 +374,19 @@ class MoebiusTransform:
 # -- text grammar --------------------------------------------------------------
 
 
-def format_rational(r, var="z"):
+def format_rational(r):
     if r.den.degree == 0:
-        return format_poly(r.num, var)
-    return f"{format_poly(r.num, var)} over {format_poly(r.den, var)}"
+        return format_poly(r.num)
+    return f"{format_poly(r.num)} over {format_poly(r.den)}"
 
 
-def parse_rational(text, exact=True, var="z"):
+def parse_rational(text, exact=True):
     """Parse 'NUM over DEN' or a bare polynomial."""
     parts = text.split(" over ")
     if len(parts) == 1:
-        return RationalFunction(parse_poly(parts[0], exact=exact, var=var))
+        return RationalFunction(parse_poly(parts[0], exact=exact))
     if len(parts) != 2:
         raise ValueError(f"cannot parse rational function {text!r}")
-    num = parse_poly(parts[0], exact=exact, var=var)
-    den = parse_poly(parts[1], exact=exact, var=var)
+    num = parse_poly(parts[0], exact=exact)
+    den = parse_poly(parts[1], exact=exact)
     return RationalFunction(num, den)

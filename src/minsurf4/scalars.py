@@ -166,11 +166,6 @@ class GaussianRational:
         return parse_scalar(text, exact=True)
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
-
-
 def is_exact(x):
     return isinstance(x, (GaussianRational, int, Fraction))
 

@@ -7,6 +7,13 @@ A triple (g1, g2, omega_hat) of rational functions encodes four 1-forms
 
 with sum(phi_j^2) == 0, and X(z) = Re int (phi1..phi4) dz immerses the domain
 whenever the real periods vanish and the forms have no common zero.
+
+`immerse` evaluates X in closed form. Each phi_j is its polynomial part plus
+its principal parts at the poles a, so a primitive is a polynomial, powers
+(z - a)^(-n), and r_a log(z - a) with r_a the residue at a. For real r_a,
+Re(r_a log(z - a)) = r_a ln|z - a| is single-valued, which is the period
+condition (Osserman, A Survey of Minimal Surfaces); a nonreal residue
+raises MultivaluedImmersion. Only loop_period still integrates numerically.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from .errors import (
     RequiresExactMode,
 )
 from .domains import Annulus, PuncturedPlane
-from .poly import gcd_many, roots
-from .rational import RationalFunction
+from .poly import gcd_many, horner, roots
+from .rational import RationalFunction, _series_div, _taylor_at
 from .scalars import GaussianRational, to_complex
 from .sphere import SpherePoint, format_point
 
@@ -254,146 +261,63 @@ def period_residues(p, domain):
     return PeriodReport(rows, ok)
 
 
-# -- integration -------------------------------------------------------------------
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# -- closed-form primitives ----------------------------------------------------------
 
 
-def _gl_complex(f, a, b):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    acc = 0j
-    for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-        acc += w * f(mid + half * x)
-    return acc * half
+def _primitive(phi):
+    """Evaluator of P with Re P a primitive of Re(phi dz), for exact phi.
 
-
-def _adaptive_complex(f, a, b, tol, depth=0, whole=None):
-    if whole is None:
-        whole = _gl_complex(f, a, b)
-    mid = 0.5 * (a + b)
-    left = _gl_complex(f, a, mid)
-    right = _gl_complex(f, mid, b)
-    if depth >= 30 or abs(left + right - whole) <= tol:
-        return left + right
-    return _adaptive_complex(f, a, mid, tol / 2, depth + 1, left) + _adaptive_complex(
-        f, mid, b, tol / 2, depth + 1, right
-    )
-
-
-def _segment_clear(a, b, obstacles, clearance):
-    ab = b - a
-    L = abs(ab)
-    if L == 0:
-        return True
-    for s in obstacles:
-        t = ((s - a) / ab).real
-        t = min(1.0, max(0.0, t))
-        if abs(a + t * ab - s) < clearance:
-            return False
-    return True
-
-
-def plan_path(base, target, obstacles, clearance):
-    """Polyline from base to target keeping clearance from obstacles.
-
-    Straight when possible; otherwise detours sideways around the nearest
-    blocking obstacle, recursively, with a small depth cap.
+    phi is its polynomial part (from divmod) plus, at each pole a of order m,
+    the principal part sum_i c_i (z - a)^(i - m), from the series division
+    that residue_at uses, at the float pole that roots gives. So
+    P = int(polynomial part) + sum c_i (z - a)^(i - m + 1) / (i - m + 1) over
+    i < m - 1, + Re(r_a) ln|z - a| with r_a = c_{m-1}; the last term is
+    Re(r_a log(z - a)) only for real r_a, so any other residue raises.
     """
-
-    def route(a, b, depth):
-        if _segment_clear(a, b, obstacles, clearance):
-            return [a, b]
-        if depth > 8:
-            raise InvalidPath("could not route around singular points")
-        ab = b - a
-        L = abs(ab)
-        blockers = []
-        for s in obstacles:
-            t = ((s - a) / ab).real
-            t = min(1.0, max(0.0, t))
-            d = abs(a + t * ab - s)
-            if d < clearance:
-                blockers.append((t, s))
-        t, s = sorted(blockers)[0]
-        normal = 1j * ab / L
-        offset = max(4.0 * clearance, 0.2)
-        for side in (1, -1):
-            w = s + side * offset * normal
-            if all(abs(w - o) >= clearance for o in obstacles):
-                left = route(a, w, depth + 1)
-                right = route(w, b, depth + 1)
-                return left[:-1] + right
-        raise InvalidPath("no clear detour around singular point")
-
-    return route(to_complex(base), to_complex(target), 0)
-
-
-class _SegmentCache:
-    """Memo of integrated segments shared by all targets of one immersion."""
-
-    def __init__(self, phis, tol):
-        self.phis = phis
-        self.tol = tol
-        self.memo = {}
-
-    def segment(self, a, b):
-        key = (a, b)
-        if key in self.memo:
-            return self.memo[key]
-        rkey = (b, a)
-        if rkey in self.memo:
-            val = tuple(-v for v in self.memo[rkey])
-            self.memo[key] = val
-            return val
-        out = []
-        for phi in self.phis:
-            val = _adaptive_complex(
-                lambda t: phi.eval_at(a + t * (b - a)) * (b - a),
-                0.0,
-                1.0,
-                self.tol,
+    q = divmod(phi.num, phi.den)[0].to_complex_coeffs()
+    poly = (0j,) + tuple(c / (k + 1) for k, c in enumerate(q))
+    parts = []
+    for a, m in roots(phi.den):
+        c = _series_div(_taylor_at(phi.num, a, m), _taylor_at(phi.den, a, 2 * m)[m:], m)
+        r = c[-1]
+        if abs(r.imag) > 1e-9 * (1.0 + abs(r)):
+            raise MultivaluedImmersion(
+                f"residue {r:.6g} at the pole {a:.6g} is not real: Re int phi is path-dependent"
             )
-            out.append(val)
-        out = tuple(out)
-        self.memo[key] = out
+        parts.append((a, c))
+
+    def value(z):
+        out = horner(poly, z)
+        for a, c in parts:
+            w = z - a
+            m = len(c)
+            out = out + c[-1].real * np.log(np.abs(w))
+            for i, ci in enumerate(c[:-1]):
+                out = out + ci * w ** (i - m + 1) / (i - m + 1)
         return out
 
-
-def _singular_locus(p, domain):
-    out = [to_complex(q) for q in domain.punctures]
-    for phi in p.phi:
-        if phi.den.degree > 0:
-            out.extend(z for z, _ in roots(phi.den))
-    dedup = []
-    for z in out:
-        if all(abs(z - w) > 1e-9 for w in dedup):
-            dedup.append(z)
-    return dedup
+    return value
 
 
-def immerse(p, domain, base, targets, tol=1e-9, check_periods=True):
-    """X(target) = Re int_base^target phi along puncture-avoiding polylines.
+def immerse(p, domain, base, targets):
+    """X(target) = Re(P(target) - P(base)) for the closed-form primitives P of
+    the exact forms, evaluated on one array of targets; a list of 4-tuples.
 
-    Residues must be real first, else the real part is path-dependent.
+    A nonreal residue at a listed puncture or at any pole of the forms raises
+    MultivaluedImmersion, since Re int is then path-dependent.
     """
-    if check_periods and isinstance(domain, PuncturedPlane) and domain.punctures:
+    if not p.exact:
+        raise RequiresExactMode("closed-form primitives need exact forms")
+    if isinstance(domain, PuncturedPlane) and domain.punctures:
         if not period_residues(p, domain).well_defined:
             raise MultivaluedImmersion("nonreal residues make Re int path-dependent")
-    obstacles = _singular_locus(p, domain)
-    cache = _SegmentCache(p.phi, tol)
-    base_c = to_complex(base)
-    out = []
-    for t in targets:
-        tc = to_complex(t)
-        path = plan_path(base_c, tc, obstacles, clearance=1e-2)
-        acc = [0j, 0j, 0j, 0j]
-        for a, b in zip(path[:-1], path[1:]):
-            seg = cache.segment(a, b)
-            for i in range(4):
-                acc[i] += seg[i]
-        out.append(tuple(v.real for v in acc))
-    return out
+    primitives = [_primitive(phi) for phi in p.phi]
+    z = np.array([to_complex(base)] + [to_complex(t) for t in targets], dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.array([prim(z).real for prim in primitives])
+    if not np.all(np.isfinite(x)):
+        raise InvalidPath("the base point or a target is a pole of the forms")
+    return [tuple(v) for v in (x[:, 1:] - x[:, :1]).T.tolist()]
 
 
 def loop_period(p, center, radius, n=2048):

@@ -277,7 +277,6 @@ def test_criterion_08a_nonorientable_pipeline():
         samples=block["samples"],
         seed=cfg.seed,
         slack=block["slack"],
-        loop_tol=block["loop_tol"],
         mesh_params=block["mesh"],
     )
     pipeline_ok = rep.passed and all(

@@ -143,7 +143,7 @@ def test_nonorientable_pulls_back_once_at_the_admitted_k(monkeypatch, capsys):
     assert code == 0
     assert pulled_back_at == [5]
     rep = json.loads(out)
-    assert rep["tolerances"] == {"slack": 1e-12, "loop_tol": 1e-8}
+    assert rep["tolerances"] == {"slack": 1e-12}
     pipeline = rep["results"]["pipeline"]
     assert (pipeline["k_declared"], pipeline["k_used"]) == (3, 5)
     stages = {s["stage"]: s for s in pipeline["stages"]}
@@ -162,15 +162,16 @@ def test_removed_options_are_rejected(capsys):
 
 
 def test_nonorientable_failed_stage_exits_2(tmp_path, capsys):
+    # a declared omitted set without its antipode fails the rp2-count stage
     cfg = json.loads((CONFIG_DIR / "moebius-strip.json").read_text())
-    cfg["nonorientable"]["loop_tol"] = 1e-30
-    path = tmp_path / "moebius-tight.json"
+    cfg["nonorientable"]["declared_omitted"] = [["1+1i"], ["0", "inf"]]
+    path = tmp_path / "moebius-unclosed.json"
     path.write_text(json.dumps(cfg))
     code, out, _ = _run(["nonorientable", "--config", str(path)], capsys)
     assert code == 2
     pipeline = json.loads(out)["results"]["pipeline"]
     assert pipeline["passed"] is False
-    assert pipeline["failed_stage"] == "loop-periods"
+    assert pipeline["failed_stage"] == "rp2-count"
 
 
 def test_mesh_export_hash_consistency(tmp_path, capsys):

@@ -170,7 +170,6 @@ def test_nonorientable_defaults():
     block = cfg.need("nonorientable")
     assert block["samples"] == 1000
     assert block["slack"] == 1e-12
-    assert block["loop_tol"] == 1e-8
     assert block["mesh"] is None
     assert block["declared_omitted"] is None
     assert block["b"] == [GaussianRational(1), GaussianRational(1)]
@@ -230,3 +229,61 @@ def test_mesh_validation():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.json")
+
+
+def test_unknown_keys_are_rejected():
+    with pytest.raises(ConfigError, match="'nonorientible'"):
+        _cfg({"seed": 1, "tolerance": -1, "nonorientible": {}})
+    with pytest.raises(ConfigError, match="'tolerance'"):
+        _cfg({"seed": 1, "tolerance": -1})
+    with pytest.raises(ConfigError, match="'puncture'"):
+        _cfg({"domain": {"kind": "punctured-plane", "puncture": ["0"]}})
+    with pytest.raises(ConfigError, match="'omega'"):
+        _cfg({"weierstrass": {"g1": "(1)*z", "g2": "(1)*z", "omega_hat": "(1)", "omega": "(1)"}})
+    with pytest.raises(ConfigError, match="'weight'"):
+        _cfg({"metric": {"factors": [{"g": "(1)*z", "m": 1, "weight": 2}], "omega_hat": "(1)"}})
+    with pytest.raises(ConfigError, match="'F3'"):
+        _cfg({"lagrangian": {"F1": "(1)*z", "F2": "(2)*z", "F3": "(1)"}})
+    with pytest.raises(ConfigError, match="'n_theta'"):
+        _cfg({"mesh": {"grid": {"kind": "plane", "x": [-1, 1], "y": [-1, 1], "nx": 4, "ny": 4, "n_theta": 8}}})
+    with pytest.raises(ConfigError, match="'name'"):
+        _cfg({"mesh": {"grid": {"kind": "plane", "x": [-1, 1], "y": [-1, 1], "nx": 4, "ny": 4}, "name": "m"}})
+    with pytest.raises(ConfigError, match="'n_rho'"):
+        _cfg(_nonorientable_doc(mesh={"n_r": 4, "n_rho": 8}))
+
+
+def test_retired_loop_tol_is_refused():
+    with pytest.raises(ConfigError, match="'loop_tol'"):
+        _cfg(_nonorientable_doc(loop_tol=1e-8))
+
+
+def test_booleans_are_not_integers():
+    with pytest.raises(ConfigError):
+        _cfg({"seed": True})
+    with pytest.raises(ConfigError):
+        _cfg(_nonorientable_doc(k=True))
+    with pytest.raises(ConfigError):
+        _cfg(_nonorientable_doc(samples=True))
+    with pytest.raises(ConfigError):
+        _cfg(_nonorientable_doc(mesh={"n_r": True, "n_theta": 8}))
+    with pytest.raises(ConfigError):
+        _cfg({"lagrangian": {"F1": "(1)*z", "F2": "(2)*z", "samples": True}})
+    with pytest.raises(ConfigError):
+        _cfg({"metric": {"factors": [{"g": "(1)*z", "m": True}], "omega_hat": "(1)"}})
+    for key in ("nx", "ny"):
+        grid = {"kind": "plane", "x": [-1, 1], "y": [-1, 1], "nx": 4, "ny": 4, key: True}
+        with pytest.raises(ConfigError):
+            _cfg({"mesh": {"grid": grid}})
+    for key in ("n_r", "n_theta"):
+        grid = {"kind": "annulus", "r": [0.5, 2.0], "n_r": 4, "n_theta": 8, key: True}
+        with pytest.raises(ConfigError):
+            _cfg({"mesh": {"grid": grid}})
+
+
+def test_generated_mesh_config_loads():
+    # the shipped catenoid config with its grid and file name replaced, as
+    # a benchmark or a script writes it
+    base = json.loads((CONFIG_DIR / "catenoid-mesh.json").read_text())
+    grid = {"kind": "annulus", "r": [0.45, 2.1], "n_r": 8, "n_theta": 24}
+    cfg = _cfg(dict(base, mesh=dict(base["mesh"], grid=grid, filename="catenoid.mesh")))
+    assert cfg.need("mesh")["grid"] == grid

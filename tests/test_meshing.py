@@ -1,5 +1,6 @@
 """Structured grids, deterministic mesh text, and surface export."""
 
+import cmath
 import hashlib
 
 import pytest
@@ -90,6 +91,16 @@ def test_export_mesh_deterministic():
     assert mesh_text(m1) == mesh_text(m2)
     assert len(m1.vertices) == 48
     assert len(m1.faces) == 72
+
+
+def test_export_mesh_catenoid_closed_form():
+    # X = Re(-z/2 - 1/(2z), i(z/2 - 1/(2z)), log z, 0) - X(1)
+    phis = _catenoid_phis()
+    points, faces = annulus_grid(0.5, 2.0, 4, 12)
+    mesh = export_mesh(phis, PuncturedPlane([GaussianRational(0)]), (points, faces), 1.0)
+    for z, v in zip(points, mesh.vertices):
+        want = ((-z / 2 - 1 / (2 * z)).real + 1.0, (0.5j * (z - 1 / z)).real, cmath.log(z).real, 0.0)
+        assert max(abs(a - b) for a, b in zip(v, want)) < 1e-12
 
 
 def test_export_mesh_skips_poles():

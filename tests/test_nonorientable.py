@@ -4,6 +4,7 @@ conditions, pullback forms, bounds, and report assembly."""
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from minsurf4.domains import derive_rng
@@ -11,6 +12,7 @@ from minsurf4.errors import (
     ConditionViolation,
     DomainError,
     KSearchExhausted,
+    PeriodObstruction,
     StageFailure,
 )
 from minsurf4.laurent import LaurentPoly, parse_laurent
@@ -27,7 +29,6 @@ from minsurf4.nonorientable import (
     half_domain_mesh,
     involution,
     involution_omitted_closure,
-    loop_periods_psi,
     pullback_psi,
     residue_condition,
     sandwich_check,
@@ -391,16 +392,23 @@ def test_sandwich_check_matches_pointwise_loop():
 
 
 def test_loop_periods_vanish():
+    # the loop period of H dz/z on |z| = 1 is 2 pi i times the z^0
+    # coefficient of H, which the residue condition makes exactly 0; the
+    # trapezoid rule, exact here up to rounding, agrees
     data = _shipped_data()
     f = _shipped_f()
     psis, _ = pullback_psi(data, f, CoverSpec(5, f.m))
-    assert max(loop_periods_psi(psis)) < 1e-8
+    z = np.exp(2j * math.pi * np.arange(4096) / 4096)
+    for h in psis:
+        assert h.coeff(0) == GaussianRational(0)
+        assert abs(np.sum(h.eval(z)) * 2j * math.pi / 4096) < 1e-12
 
 
 def test_loop_periods_see_a_residue():
-    # H = 3 + z: the trapezoid rule on |z| = 1 gives |2 pi i * 3| exactly
-    (period,) = loop_periods_psi([parse_laurent("(3) + z")], samples=64)
-    assert period == pytest.approx(6.0 * math.pi, rel=1e-14)
+    # H = 3 + z has the loop period 2 pi i * 3 on |z| = 1, so Re int psi is
+    # multivalued and the mesh refuses it
+    with pytest.raises(PeriodObstruction):
+        half_domain_mesh([parse_laurent("(3) + z")], 2.0, n_r=2, n_theta=4)
 
 
 def test_half_domain_mesh():
@@ -422,9 +430,8 @@ def test_half_domain_mesh_against_closed_form():
     """Vertices against int_1^z H_j(z) dz/z = sum_{n != 0} c_n (z^n - 1)/n.
 
     The z^0 coefficient of each H_j is 0 (the residue condition), so the
-    primitive is a Laurent polynomial. The trapezoid rule of the mesh (4
-    steps per angular cell, 24 radial steps) is off by 3.57e-3 against a
-    vertex scale of 6.18 on the shipped data at k = 5.
+    primitive is a Laurent polynomial, which the mesh evaluates; the vertex
+    scale on the shipped data at k = 5 is 6.18.
     """
     data = _shipped_data()
     f = _shipped_f()
@@ -448,7 +455,7 @@ def test_half_domain_mesh_against_closed_form():
             worst = max(worst, max(abs(a - b) for a, b in zip(exact, vertex)))
             scale = max(scale, max(abs(a) for a in exact))
     assert scale == pytest.approx(6.18, abs=0.01)
-    assert worst < 5e-3
+    assert worst < 1e-12
 
 
 def test_assemble_report_shipped_passes():
@@ -480,7 +487,6 @@ def test_assemble_report_shipped_passes():
         "conformality",
         "f-bounds",
         "sandwich",
-        "loop-periods",
         "rp2-count",
         "mesh",
     ]

@@ -1,8 +1,12 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and every module-level name is referenced somewhere else.
 
-`__init__.py` is exempt, since its imports are the package's public
-namespace. Only the standard library is used, so the check runs wherever the
-suite does.
+`__init__.py` is exempt from the import check, since its imports are the
+package's public namespace. A module-level name (function, class or
+assignment; `__version__` excepted) must be read, imported or reached as an
+attribute by some top-level statement of `src/` or `tests/` other than its
+own definition. Only the standard library is used, so the check runs
+wherever the suite does.
 """
 
 import ast
@@ -10,8 +14,10 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "minsurf4"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "minsurf4"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
 
 
 def unused_imports(source):
@@ -41,4 +47,66 @@ def test_no_unused_imports(path):
     unused = unused_imports(path.read_text(encoding="utf-8"))
     assert not unused, f"{path.name} imports names it never uses: " + ", ".join(
         f"{name} (line {line})" for line, name in unused
+    )
+
+
+def defined_names(tree):
+    """{name: defining top-level statement} of functions, classes and
+    assignments at module level."""
+    out = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[stmt.name] = stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name):
+                        out[node.id] = stmt
+    return out
+
+
+def referenced_names(tree):
+    """(top-level statement, name) for each name read, imported or used as
+    an attribute inside that statement."""
+    out = []
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.append((stmt, node.id))
+            elif isinstance(node, ast.Attribute):
+                out.append((stmt, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                out.extend((stmt, alias.name) for alias in node.names)
+    return out
+
+
+def unreferenced_names(trees):
+    """Sorted (module, name) defined at module level in trees[module] and
+    referenced by no top-level statement but its own definition."""
+    refs = {}
+    for tree in trees.values():
+        for stmt, name in referenced_names(tree):
+            refs.setdefault(name, set()).add(id(stmt))
+    out = []
+    for module, tree in trees.items():
+        for name, stmt in defined_names(tree).items():
+            if name != "__version__" and not refs.get(name, set()) - {id(stmt)}:
+                out.append((module, name))
+    return sorted(out)
+
+
+def test_the_check_sees_unreferenced_names():
+    trees = {
+        "a": ast.parse("X = 1\nY = 2\n\ndef f():\n    return f() + X\n\nclass C:\n    pass\n"),
+        "b": ast.parse("from a import C\nimport a\na.Y\n"),
+    }
+    assert unreferenced_names(trees) == [("a", "f")]
+
+
+def test_every_module_level_name_is_referenced():
+    trees = {str(p.relative_to(ROOT)): ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    unused = [(module, name) for module, name in unreferenced_names(trees) if module.startswith("src")]
+    assert not unused, "module-level names nothing references: " + ", ".join(
+        f"{module}:{name}" for module, name in unused
     )

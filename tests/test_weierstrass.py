@@ -1,14 +1,15 @@
 """Coordinate forms from rational data: conformality, regularity, periods,
-and the immersion integrator."""
+and the closed-form immersion."""
 
 import math
 
 import pytest
 
-from minsurf4.domains import PuncturedPlane, derive_rng
+from minsurf4.domains import Annulus, PuncturedPlane, derive_rng
 from minsurf4.errors import (
     DegenerateFrame,
     DomainError,
+    InvalidPath,
     MultivaluedImmersion,
     RequiresExactMode,
 )
@@ -238,6 +239,66 @@ def test_immerse_harmonic_coordinates():
     for i in range(4):
         lap = (xs[1][i] + xs[2][i] + xs[3][i] + xs[4][i] - 4 * xs[0][i]) / (h * h)
         assert abs(lap) < 1e-5
+
+
+def _pole_forms():
+    """Forms with double and triple poles at +-sqrt(2), off any puncture."""
+    z = _z()
+    i = GaussianRational(0, 1)
+    q = z * z - 2
+    return PhiForms((1 / (q * q), z / q, (z * z + 1) / (q * q * q), 3 * z * z + i))
+
+
+def _pole_forms_primitives(z):
+    """Hand primitives of _pole_forms, from the partial fractions at
+    s = sqrt(2): 1/q^2 = 1/(8(z-s)^2) - 1/(8s(z-s)) + 1/(8(z+s)^2) + 1/(8s(z+s))
+    and (z^2+1)/q^3 = a3/(z-s)^3 - 1/(64(z-s)^2) + a1/(z-s) - a3/(z+s)^3
+    - 1/(64(z+s)^2) - a1/(z+s) with a3 = 3/(16s), a1 = 1/(64s)."""
+    s = math.sqrt(2.0)
+    u, v = z - s, z + s
+    lu, lv = math.log(abs(u)), math.log(abs(v))
+    a3, a1 = 3.0 / (16.0 * s), 1.0 / (64.0 * s)
+    return (
+        (-1.0 / (8.0 * u) - 1.0 / (8.0 * v)).real + (lv - lu) / (8.0 * s),
+        0.5 * math.log(abs(z * z - 2.0)),
+        (-a3 / (2.0 * u * u) + 1.0 / (64.0 * u) + a3 / (2.0 * v * v) + 1.0 / (64.0 * v)).real
+        + a1 * (lu - lv),
+        (z**3 + 1j * z).real,
+    )
+
+
+def test_immerse_matches_hand_primitives():
+    base = 2.5 + 2.5j
+    targets = [0.3 - 2.7j, -1.0 + 0.5j, 3.0, 1.5j, -2.2 - 0.1j]
+    xs = immerse(_pole_forms(), PuncturedPlane([]), base, targets)
+    at_base = _pole_forms_primitives(base)
+    for t, x in zip(targets, xs):
+        want = [a - b for a, b in zip(_pole_forms_primitives(t), at_base)]
+        assert max(abs(a - b) for a, b in zip(x, want)) < 1e-12
+
+
+def test_immerse_refuses_nonreal_residues_at_unlisted_poles():
+    # phi2 = i(1 + z^2)/(2(z^2 - 2)) has the residue 3i/(4 sqrt 2) ~ 0.53i at
+    # sqrt 2, which no domain lists as a puncture
+    z = _z()
+    p = phis_from_data(WeierstrassData(z * z, RationalFunction.constant(-1), 1 / (z * z - 2)))
+    assert abs(p.phi[1].residue_at(math.sqrt(2.0)) - 3j / (4.0 * math.sqrt(2.0))) < 1e-9
+    for domain in (PuncturedPlane([]), Annulus(2.0)):
+        with pytest.raises(MultivaluedImmersion):
+            immerse(p, domain, 1.0, [1j])
+
+
+def test_immerse_refuses_approximate_forms():
+    z = RationalFunction(Polynomial([0.0, 1.0]))
+    p = PhiForms((z, z * 1j, RationalFunction(Polynomial([1.0])), z * 0.5))
+    with pytest.raises(RequiresExactMode):
+        immerse(p, PuncturedPlane([]), 0.0, [1.0])
+
+
+def test_immerse_refuses_a_target_at_a_pole():
+    p = phis_from_data(_catenoid())
+    with pytest.raises(InvalidPath):
+        immerse(p, PuncturedPlane([GaussianRational(0)]), 1.0, [0.0])
 
 
 def test_data_from_phis_rejects_degenerate_frame():
