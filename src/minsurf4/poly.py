@@ -388,19 +388,39 @@ def roots(p, tol=CLUSTER_TOL):
 
 
 def multiplicity_at(p, point):
-    """Order of vanishing of exact p at an exact point, by repeated division."""
+    """Order of vanishing of exact p at an exact point, by repeated division.
+
+    Write the point as s/d with s a Gaussian integer and d a positive
+    integer, and let L be the common denominator of the coefficients a_k of
+    p. Then P(w) = L d^n p(w/d) = sum L a_k d^(n-k) w^k has Gaussian-integer
+    coefficients and vanishes at w = s to the same order as p at s/d, so
+    synthetic division by w - s runs in Python integers alone.
+    """
     if not p.exact or not is_exact(point):
         raise RequiresExactMode("multiplicity_at needs exact data")
     if p.is_zero():
         raise DomainError("zero polynomial")
     pt = as_scalar(point)
-    lin = Polynomial([-pt, 1])
+    d = math.lcm(pt.re.denominator, pt.im.denominator)
+    sr, si = pt.re.numerator * (d // pt.re.denominator), pt.im.numerator * (d // pt.im.denominator)
+    lcd = math.lcm(*(c.re.denominator for c in p.coeffs), *(c.im.denominator for c in p.coeffs))
+    n = p.degree
+    cr, ci = [], []
+    for k, c in enumerate(p.coeffs):
+        f = lcd * d ** (n - k)
+        cr.append(c.re.numerator * (f // c.re.denominator))
+        ci.append(c.im.numerator * (f // c.im.denominator))
     m = 0
-    while p.eval(pt) == GaussianRational(0):
-        p = p / lin
-        m += 1
-        if p.degree < 0:
+    while len(cr) > 1:
+        qr, qi = [0] * (len(cr) - 1), [0] * (len(cr) - 1)
+        br, bi = cr[-1], ci[-1]
+        for k in range(len(cr) - 2, -1, -1):
+            qr[k], qi[k] = br, bi
+            br, bi = cr[k] + br * sr - bi * si, ci[k] + br * si + bi * sr
+        if br or bi:
             break
+        cr, ci = qr, qi
+        m += 1
     return m
 
 

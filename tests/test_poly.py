@@ -154,6 +154,25 @@ def test_multiplicity_at():
     assert multiplicity_at((z - 2) ** 3, GaussianRational(2)) == 3
 
 
+def test_multiplicity_at_rational_points_and_coefficients():
+    """Points and coefficients with denominators, against the multiplicities
+    the polynomial is built with."""
+    from fractions import Fraction as F
+
+    z = Polynomial.z()
+    a = GaussianRational(F(1, 2), F(-2, 3))
+    b = GaussianRational(F(1, 2), F(2, 3))
+    c = GaussianRational(F(-3, 4))
+    p = (z - a) ** 3 * (z - b) * (z - c) ** 2 * GaussianRational(F(5, 7), F(1, 3))
+    assert multiplicity_at(p, a) == 3
+    assert multiplicity_at(p, b) == 1
+    assert multiplicity_at(p, c) == 2
+    assert multiplicity_at(p, F(-3, 4)) == 2
+    assert multiplicity_at(p, GaussianRational(F(1, 2))) == 0
+    assert multiplicity_at(p + GaussianRational(F(1, 9)), a) == 0
+    assert multiplicity_at(Polynomial([GaussianRational(F(2, 3))]), a) == 0
+
+
 def test_gcd_examples():
     z = Polynomial.z()
     g = gcd((z - 1) * (z - 2), (z - 1) * (z - 3))
