@@ -14,7 +14,7 @@ from .errors import DomainError, IrregularData
 from .poly import roots
 from .report import write_text_atomic
 from .scalars import to_complex
-from .weierstrass import check_regularity, immerse
+from .weierstrass import _immerse, check_regularity
 
 FLOAT_FMT = "%.17g"
 
@@ -125,11 +125,10 @@ def annulus_grid(r_lo, r_hi, n_r, n_theta, center=0j, theta_range=None):
     return points, faces
 
 
-def _singular_locus(p, domain):
+def _singular_locus(domain, poles):
     out = [to_complex(q) for q in domain.punctures]
-    for phi in p.phi:
-        if phi.den.degree > 0:
-            out.extend(z for z, _ in roots(phi.den))
+    for form_poles in poles:
+        out.extend(z for z, _ in form_poles)
     dedup = []
     for z in out:
         if all(abs(z - w) > 1e-9 for w in dedup):
@@ -149,7 +148,8 @@ def export_mesh(p, domain, grid, base, metadata=None, path=None):
         bad = ", ".join(f"{z:.6g}" for z in reg.branch_points)
         raise IrregularData(f"forms share zeros inside the domain at: {bad}")
     points, faces = grid
-    singular = _singular_locus(p, domain)
+    poles = [roots(phi.den) for phi in p.phi]
+    singular = _singular_locus(domain, poles)
     alive = []
     index_map = {}
     skipped = 0
@@ -161,7 +161,7 @@ def export_mesh(p, domain, grid, base, metadata=None, path=None):
         alive.append(z)
     if skipped:
         warnings.warn(f"skipped {skipped} grid points at poles", stacklevel=2)
-    xs = immerse(p, domain, base, alive)
+    xs = _immerse(p, domain, base, alive, poles)
     new_faces = []
     for f in faces:
         if all(i in index_map for i in f):

@@ -5,6 +5,14 @@ coefficient is a GaussianRational; any float/complex coefficient demotes the
 whole polynomial to approximate mode. Exact mode supports division, gcd and
 square-free decomposition; root finding returns complex approximations with
 exact multiplicities in exact mode.
+
+The exact kernel runs in Python integers. `clear_denominators` writes an
+exact polynomial as 1/L times Gaussian-integer coefficients, given as
+(re, im) pairs, with L the lcm of the coefficient denominators. The product,
+division, `monic`, the gcd (a primitive PRS over Z[i]), `multiplicity_at`
+and the conformality identity of `weierstrass.check_conformality` work on
+those pairs and build GaussianRationals only for their result, so exact
+results are the ones field arithmetic on Fraction pairs gives.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 
@@ -120,11 +129,17 @@ class Polynomial:
         return other - self
 
     def __mul__(self, other):
+        """Product. Exact factors are cleared to Gaussian integers over La
+        and Lb, multiplied in Python integers and divided once by La Lb."""
         other = _as_poly(other)
         if other is None:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Polynomial()
+        if self.exact and other.exact:
+            la, (a,) = clear_denominators(self)
+            lb, (b,) = clear_denominators(other)
+            return _from_gaussian_integers(zi_mul(a, b), la * lb)
         a, b = self.coeffs, other.coeffs
         out = [None] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -148,6 +163,9 @@ class Polynomial:
         return out
 
     def __divmod__(self, other):
+        """(quotient, remainder). Exact operands are cleared by one common L
+        to A and B over Z[i]; f A = Q B + R in Z[i] for a positive integer f
+        gives the quotient Q / f and the remainder R / (L f)."""
         other = _as_poly(other)
         if other is None:
             return NotImplemented
@@ -155,6 +173,10 @@ class Polynomial:
             raise DomainError("polynomial division by zero")
         if self.degree < other.degree:
             return Polynomial(), self
+        if self.exact and other.exact:
+            lcd, (a, b) = clear_denominators(self, other)
+            q, r, scale = _pseudo_divmod(a, b)
+            return _from_gaussian_integers(q, scale), _from_gaussian_integers(r, lcd * scale)
         rem = list(self.coeffs)
         lead = other.leading()
         qdeg = self.degree - other.degree
@@ -211,6 +233,8 @@ class Polynomial:
     def monic(self):
         if self.is_zero():
             return self
+        if self.exact:
+            return _monic(clear_denominators(self)[1][0])
         lead = self.leading()
         return Polynomial([c / lead for c in self.coeffs])
 
@@ -255,13 +279,115 @@ def conj_reflect(p, n):
     return Polynomial(out)
 
 
+def clear_denominators(*polys):
+    """(L, pairs) for exact polynomials p_1, ..., p_k: L is the lcm of all
+    their coefficient denominators and pairs[j] lists, ascending, the
+    Gaussian-integer coefficients (re, im) of L p_j."""
+    dens = [d for p in polys for c in p.coeffs for d in (c.re.denominator, c.im.denominator)]
+    lcd = math.lcm(*dens)
+    pairs = [
+        [(c.re.numerator * (lcd // c.re.denominator), c.im.numerator * (lcd // c.im.denominator)) for c in p.coeffs]
+        for p in polys
+    ]
+    return lcd, pairs
+
+
+def _from_gaussian_integers(pairs, lcd):
+    """The exact polynomial sum (re + i im) z^k / lcd of ascending pairs."""
+    return Polynomial([GaussianRational(Fraction(r, lcd), Fraction(i, lcd)) for r, i in pairs])
+
+
+def _monic(pairs):
+    """The monic polynomial proportional to nonzero Gaussian-integer pairs:
+    times conj(c) / |c|^2 for the leading coefficient c."""
+    lr, li = pairs[-1]
+    return _from_gaussian_integers(zi_mul(pairs, [(lr, -li)]), lr * lr + li * li)
+
+
+def zi_mul(a, b):
+    """Product of two nonzero polynomials over Z[i], as ascending (re, im)
+    pairs."""
+    out_r = [0] * (len(a) + len(b) - 1)
+    out_i = [0] * len(out_r)
+    for j, (br, bi) in enumerate(b):
+        for k, (ar, ai) in enumerate(a, j):
+            out_r[k] += ar * br - ai * bi
+            out_i[k] += ar * bi + ai * br
+    return list(zip(out_r, out_i))
+
+
+def _zi_gcd(a, b):
+    """A gcd in Z[i] of two (re, im) pairs, by Euclid with rounded quotients
+    (the norm of the remainder is at most half the divisor's)."""
+    ar, ai = a
+    br, bi = b
+    while br or bi:
+        n = br * br + bi * bi
+        qr = (2 * (ar * br + ai * bi) + n) // (2 * n)
+        qi = (2 * (ai * br - ar * bi) + n) // (2 * n)
+        ar, ai, br, bi = br, bi, ar - qr * br + qi * bi, ai - qr * bi - qi * br
+    return ar, ai
+
+
+def _primitive_part(pairs):
+    """pairs with trailing zeros stripped and divided by a Gaussian-integer
+    gcd of all coefficients, so the PRS keeps no spurious constant factor."""
+    while pairs and pairs[-1] == (0, 0):
+        pairs.pop()
+    if not pairs:
+        return pairs
+    g = math.gcd(*(x for c in pairs for x in c))
+    pairs = [(r // g, i // g) for r, i in pairs]
+    gr, gi = 0, 0
+    for c in pairs:
+        gr, gi = _zi_gcd((gr, gi), c)
+        if gr * gr + gi * gi == 1:  # a unit: no content left
+            return pairs
+    n = gr * gr + gi * gi
+    return [((r * gr + i * gi) // n, (i * gr - r * gi) // n) for r, i in pairs]
+
+
+def _pseudo_divmod(u, v):
+    """(q, r, f) with f u = q v + r over Z[i], deg r < deg v <= deg u and f a
+    positive integer. With c = lc(v), u is divided by w = v conj(c), whose
+    leading coefficient n = |c|^2 is a positive integer; u is first scaled by
+    f = n^(deg u - deg v + 1), so every step divides exactly by n."""
+    cr, ci = v[-1]
+    w = zi_mul(v, [(cr, -ci)])
+    n = w[-1][0]
+    steps = len(u) - len(v) + 1
+    scale = n**steps
+    ur, ui = [r * scale for r, _ in u], [i * scale for _, i in u]
+    q = [None] * steps
+    for k in range(steps - 1, -1, -1):
+        tr, ti = ur.pop() // n, ui.pop() // n
+        q[k] = (tr, ti)
+        for j, (wr, wi) in enumerate(w[:-1], k):
+            ur[j] -= tr * wr - ti * wi
+            ui[j] -= tr * wi + ti * wr
+    return zi_mul(q, [(cr, -ci)]), list(zip(ur, ui)), scale
+
+
 def gcd(a, b):
-    """Monic gcd over the exact field; gcd(p, 0) = monic p."""
+    """Monic gcd over the exact field; gcd(p, 0) = monic p.
+
+    A primitive PRS over Z[i] (Collins, J. ACM 14, 1967; Brown, J. ACM 18,
+    1971): both inputs are cleared to Gaussian integers, and each step takes
+    the primitive part of a pseudo-remainder. The last nonzero remainder is
+    divided by its leading coefficient only at the end. The monic gcd is
+    unique, so this is the gcd the field Euclid gives.
+    """
     if not (a.exact and b.exact):
         raise RequiresExactMode("gcd needs exact coefficients")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    _, (u, v) = clear_denominators(a, b)
+    u, v = _primitive_part(u), _primitive_part(v)
+    if len(u) < len(v):
+        u, v = v, u
+    while len(v) > 1:
+        u, v = v, _primitive_part(_pseudo_divmod(u, v)[1])
+    if v:
+        return Polynomial([1])
+    return _monic(u) if u else Polynomial()
 
 
 def gcd_many(polys):
@@ -403,13 +529,10 @@ def multiplicity_at(p, point):
     pt = as_scalar(point)
     d = math.lcm(pt.re.denominator, pt.im.denominator)
     sr, si = pt.re.numerator * (d // pt.re.denominator), pt.im.numerator * (d // pt.im.denominator)
-    lcd = math.lcm(*(c.re.denominator for c in p.coeffs), *(c.im.denominator for c in p.coeffs))
+    _, (pairs,) = clear_denominators(p)
     n = p.degree
-    cr, ci = [], []
-    for k, c in enumerate(p.coeffs):
-        f = lcd * d ** (n - k)
-        cr.append(c.re.numerator * (f // c.re.denominator))
-        ci.append(c.im.numerator * (f // c.im.denominator))
+    cr = [r * d ** (n - k) for k, (r, _) in enumerate(pairs)]
+    ci = [i * d ** (n - k) for k, (_, i) in enumerate(pairs)]
     m = 0
     while len(cr) > 1:
         qr, qi = [0] * (len(cr) - 1), [0] * (len(cr) - 1)

@@ -172,12 +172,12 @@ def is_exact(x):
 
 def as_scalar(x):
     """Coerce to GaussianRational (exact inputs) or complex (float inputs)."""
+    if isinstance(x, bool):
+        raise TypeError("bool is not a scalar")
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (int, Fraction)):
         return GaussianRational(x)
-    if isinstance(x, bool):
-        raise TypeError("bool is not a scalar")
     if isinstance(x, (float, complex)):
         return complex(x)
     if isinstance(x, str):
@@ -186,8 +186,6 @@ def as_scalar(x):
 
 
 def to_complex(x):
-    if isinstance(x, GaussianRational):
-        return complex(x)
     return complex(x)
 
 

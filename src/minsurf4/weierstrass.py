@@ -30,7 +30,7 @@ from .errors import (
     RequiresExactMode,
 )
 from .domains import Annulus, PuncturedPlane
-from .poly import gcd_many, horner, roots
+from .poly import clear_denominators, gcd_many, horner, roots, zi_mul
 from .rational import RationalFunction, _series_div, _taylor_at
 from .scalars import GaussianRational, to_complex
 from .sphere import SpherePoint, format_point
@@ -128,13 +128,31 @@ def data_from_phis(p):
 
 
 def check_conformality(p):
-    """Exact identity test of sum(phi_j^2) == 0."""
+    """Exact identity test of sum(phi_j^2) == 0.
+
+    Each nonzero phi_j = n_j / d_j is cleared to N_j / D_j, with N_j = L_j n_j
+    and D_j = L_j d_j over Z[i] for one L_j. The identity holds iff
+    sum_j N_j^2 prod_{i != j} D_i^2 vanishes coefficient by coefficient, which
+    is tested in Python integers; no RationalFunction sum and no gcd is built.
+    """
     if not p.exact:
         raise RequiresExactMode("conformality is an exact identity test")
-    total = RationalFunction.constant(0)
+    squares = []
     for phi in p.phi:
-        total = total + phi * phi
-    return total.is_identically_zero()
+        if not phi.is_zero():
+            _, (n, d) = clear_denominators(phi.num, phi.den)
+            squares.append((zi_mul(n, n), zi_mul(d, d)))
+    total_r, total_i = [], []
+    for j, (term, _) in enumerate(squares):
+        for i, (_, d2) in enumerate(squares):
+            if i != j:
+                term = zi_mul(term, d2)
+        total_r.extend([0] * (len(term) - len(total_r)))
+        total_i.extend([0] * (len(term) - len(total_i)))
+        for k, (r, im) in enumerate(term):
+            total_r[k] += r
+            total_i[k] += im
+    return not any(total_r) and not any(total_i)
 
 
 class RegularityReport:
@@ -264,12 +282,13 @@ def period_residues(p, domain):
 # -- closed-form primitives ----------------------------------------------------------
 
 
-def _primitive(phi):
-    """Evaluator of P with Re P a primitive of Re(phi dz), for exact phi.
+def _primitive(phi, poles):
+    """Evaluator of P with Re P a primitive of Re(phi dz), for exact phi whose
+    denominator has the roots `poles`, as (pole, multiplicity) from roots.
 
     phi is its polynomial part (from divmod) plus, at each pole a of order m,
     the principal part sum_i c_i (z - a)^(i - m), from the series division
-    that residue_at uses, at the float pole that roots gives. So
+    that residue_at uses, at the float pole. So
     P = int(polynomial part) + sum c_i (z - a)^(i - m + 1) / (i - m + 1) over
     i < m - 1, + Re(r_a) ln|z - a| with r_a = c_{m-1}; the last term is
     Re(r_a log(z - a)) only for real r_a, so any other residue raises.
@@ -277,7 +296,7 @@ def _primitive(phi):
     q = divmod(phi.num, phi.den)[0].to_complex_coeffs()
     poly = (0j,) + tuple(c / (k + 1) for k, c in enumerate(q))
     parts = []
-    for a, m in roots(phi.den):
+    for a, m in poles:
         c = _series_div(_taylor_at(phi.num, a, m), _taylor_at(phi.den, a, 2 * m)[m:], m)
         r = c[-1]
         if abs(r.imag) > 1e-9 * (1.0 + abs(r)):
@@ -306,12 +325,17 @@ def immerse(p, domain, base, targets):
     A nonreal residue at a listed puncture or at any pole of the forms raises
     MultivaluedImmersion, since Re int is then path-dependent.
     """
+    return _immerse(p, domain, base, targets, [roots(phi.den) for phi in p.phi])
+
+
+def _immerse(p, domain, base, targets, poles):
+    """immerse, given roots(phi.den) for each form phi in `poles`."""
     if not p.exact:
         raise RequiresExactMode("closed-form primitives need exact forms")
     if isinstance(domain, PuncturedPlane) and domain.punctures:
         if not period_residues(p, domain).well_defined:
             raise MultivaluedImmersion("nonreal residues make Re int path-dependent")
-    primitives = [_primitive(phi) for phi in p.phi]
+    primitives = [_primitive(phi, a) for phi, a in zip(p.phi, poles)]
     z = np.array([to_complex(base)] + [to_complex(t) for t in targets], dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.array([prim(z).real for prim in primitives])

@@ -1,5 +1,7 @@
 """Exact polynomials and the root finder against a companion-matrix oracle."""
 
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 
@@ -157,8 +159,6 @@ def test_multiplicity_at():
 def test_multiplicity_at_rational_points_and_coefficients():
     """Points and coefficients with denominators, against the multiplicities
     the polynomial is built with."""
-    from fractions import Fraction as F
-
     z = Polynomial.z()
     a = GaussianRational(F(1, 2), F(-2, 3))
     b = GaussianRational(F(1, 2), F(2, 3))
@@ -171,6 +171,116 @@ def test_multiplicity_at_rational_points_and_coefficients():
     assert multiplicity_at(p, GaussianRational(F(1, 2))) == 0
     assert multiplicity_at(p + GaussianRational(F(1, 9)), a) == 0
     assert multiplicity_at(Polynomial([GaussianRational(F(2, 3))]), a) == 0
+
+
+# -- the Gaussian-integer kernel against schoolbook field arithmetic -----------
+
+
+def _field_divmod(a, b):
+    """Long division over Q(i) in GaussianRational arithmetic."""
+    rem = list(a.coeffs)
+    if len(rem) < len(b.coeffs):
+        return [], rem
+    quot = [None] * (len(rem) - len(b.coeffs) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + b.degree] / b.leading()
+        quot[k] = c
+        for j, bc in enumerate(b.coeffs):
+            rem[j + k] = rem[j + k] - c * bc
+    return quot, rem[: b.degree]
+
+
+def _field_monic(p):
+    return Polynomial([c / p.leading() for c in p.coeffs])
+
+
+def _euclid_gcd(a, b):
+    """The field Euclid over Q(i) on Fraction pairs, the oracle for the
+    primitive PRS."""
+    while not b.is_zero():
+        a, b = b, Polynomial(_field_divmod(a, b)[1])
+    return _field_monic(a) if not a.is_zero() else a
+
+
+def _schoolbook_mul(a, b):
+    if a.is_zero() or b.is_zero():
+        return Polynomial()
+    out = [GaussianRational(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ac in enumerate(a.coeffs):
+        for j, bc in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + ac * bc
+    return Polynomial(out)
+
+
+def _rational_poly(rng, deg, bound=5):
+    """Coefficients with non-integer rational real and imaginary parts."""
+    return Polynomial(
+        [
+            GaussianRational(F(rng.randint(-bound, bound), rng.randint(1, 6)), F(rng.randint(-bound, bound), rng.randint(1, 6)))
+            for _ in range(deg + 1)
+        ]
+    )
+
+
+def _oracle_pair(rng, case):
+    """A seeded gcd input pair; the case number cycles through the shapes."""
+    kind = case % 5
+    if kind == 0:  # a zero or constant input
+        a = _rational_poly(rng, rng.randint(0, 4))
+        b = rng.choice([Polynomial(), _rational_poly(rng, 0), Polynomial([GaussianRational(0, F(1, 3))])])
+        return (a, b) if case % 2 else (b, a)
+    g = _rational_poly(rng, rng.randint(0, 3))
+    if g.is_zero():
+        g = Polynomial([1])
+    a = _rational_poly(rng, rng.randint(0, 4)) * g
+    b = _rational_poly(rng, rng.randint(0, 4)) * g
+    if kind == 1:  # Gaussian-integer content (1+i)^k on both sides
+        a = a * Polynomial([GaussianRational(1, 1)]) ** rng.randint(1, 6)
+        b = b * Polynomial([GaussianRational(1, 1)]) ** rng.randint(0, 6)
+    elif kind == 2:  # Gaussian-integer cofactors of a planted g(2z)
+        a, b = (_random_poly(rng, 3) * g.monic().compose(Polynomial([0, 2])) for _ in range(2))
+    elif kind == 3:  # a repeated planted factor
+        a = a * g
+    return a, b
+
+
+def test_gcd_matches_field_euclid_oracle():
+    rng = derive_rng(31, "poly-gcd-oracle")
+    seen = {"zero": 0, "constant": 0, "planted": 0}
+    for case in range(400):
+        a, b = _oracle_pair(rng, case)
+        want = _euclid_gcd(a, b)
+        got = gcd(a, b)
+        assert got == want, (a, b)
+        assert got.coeffs == want.coeffs
+        seen["zero"] += a.is_zero() or b.is_zero()
+        seen["constant"] += a.degree == 0 or b.degree == 0
+        seen["planted"] += got.degree > 0
+    assert min(seen.values()) >= 25, seen
+    assert gcd(Polynomial(), Polynomial()).is_zero()
+
+
+def test_gcd_content_is_not_a_factor():
+    z = Polynomial.z()
+    unit = Polynomial([GaussianRational(1, 1)])
+    p = (z - GaussianRational(F(1, 2), 3)) * (z + 1)
+    assert gcd(unit**5 * p, unit**2 * (z + 1) * (z - 7)) == z + 1
+    assert gcd(unit**4, p) == Polynomial([1])
+    assert gcd(p * GaussianRational(F(2, 7), F(-5, 3)), p * 6) == p.monic()
+
+
+def test_exact_mul_and_divmod_match_schoolbook():
+    rng = derive_rng(37, "poly-mul-oracle")
+    for _ in range(200):
+        a = _rational_poly(rng, rng.randint(0, 6))
+        b = _rational_poly(rng, rng.randint(0, 4))
+        assert (a * b).coeffs == _schoolbook_mul(a, b).coeffs
+        if b.is_zero():
+            continue
+        q, r = divmod(a, b)
+        want_q, want_r = _field_divmod(a, b)
+        assert q == Polynomial(want_q) and r == Polynomial(want_r)
+        assert a.monic() == (_field_monic(a) if not a.is_zero() else a)
 
 
 def test_gcd_examples():

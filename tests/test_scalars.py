@@ -111,6 +111,13 @@ def test_coercions():
     assert conj(1 + 2j) == 1 - 2j
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_booleans_are_not_scalars(flag):
+    # bool subclasses int, so the bool test must come before the int test
+    with pytest.raises(TypeError, match="bool"):
+        as_scalar(flag)
+
+
 def test_mixed_arithmetic_with_ints():
     a = GaussianRational(1, 1)
     assert a + 1 == GaussianRational(2, 1)

@@ -92,6 +92,42 @@ def test_conformality_detects_broken_forms():
     assert not check_conformality(broken)
 
 
+def test_conformality_rejects_perturbed_forms_with_distinct_denominators():
+    # (f, i f, h, i h) is conformal; a 3-4-5 rotation of forms 1 and 3 keeps it so
+    z = _z()
+    i = GaussianRational(0, 1)
+    f, h = 1 / (z - 1), z / (z + 2)
+    c, s = GaussianRational("3/5"), GaussianRational("4/5")
+    p = PhiForms((c * f - s * h, i * f, s * f + c * h, i * h))
+    assert [phi.den.degree for phi in p.phi] == [2, 1, 2, 1]
+    assert len({phi.den for phi in p.phi}) == 3
+    assert check_conformality(p)
+    for bump in (1 / (z - 3), RationalFunction.constant(GaussianRational("1/1000")), 1 / (z + 2)):
+        assert not check_conformality(PhiForms((p.phi[0] + bump,) + p.phi[1:]))
+
+
+def test_conformality_with_a_zero_form():
+    z = _z()
+    i = GaussianRational(0, 1)
+    catenoid = phis_from_data(_catenoid())
+    assert catenoid.phi[3].is_zero() and check_conformality(catenoid)
+    # 1 - 1 + 1/z^2: three forms that are not conformal beside a zero one
+    assert not check_conformality(PhiForms((_one(), _one() * i, 1 / z, 0 * z)))
+    assert not check_conformality(PhiForms((0 * z, 0 * z, 0 * z, 1 / z)))
+
+
+def test_conformality_with_different_clearing_denominators():
+    # 3-4-5: (5/12)^2 - (1/3)^2 - (1/4)^2 == 0, cleared by L = 12, 3 and 4
+    z = _z()
+    i = GaussianRational(0, 1)
+    forms = [GaussianRational("5/12") / (z - 1), i / 3 / (z - 1), i / 4 / (z - 1), 0 * z]
+    assert check_conformality(PhiForms(forms))
+    # the numerators alone cancel (1 + i^2 == 0); the denominators do not
+    assert not check_conformality(PhiForms((1 / (2 * z), i / (3 * z), 0 * z, 0 * z)))
+    forms[2] = forms[2] + GaussianRational(0, "1/5")
+    assert not check_conformality(PhiForms(forms))
+
+
 def test_conformality_requires_exact():
     p = PhiForms(
         (
