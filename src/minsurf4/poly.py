@@ -531,8 +531,11 @@ def multiplicity_at(p, point):
     sr, si = pt.re.numerator * (d // pt.re.denominator), pt.im.numerator * (d // pt.im.denominator)
     _, (pairs,) = clear_denominators(p)
     n = p.degree
-    cr = [r * d ** (n - k) for k, (r, _) in enumerate(pairs)]
-    ci = [i * d ** (n - k) for k, (_, i) in enumerate(pairs)]
+    cr, ci = [], []
+    for k, (r, i) in enumerate(pairs):
+        f = d ** (n - k)
+        cr.append(r * f)
+        ci.append(i * f)
     m = 0
     while len(cr) > 1:
         qr, qi = [0] * (len(cr) - 1), [0] * (len(cr) - 1)
