@@ -5,7 +5,7 @@ associated sharpness families; the minimal-Lagrangian pipeline; and the
 Moebius-strip construction on involution-symmetric annulus data.
 """
 
-from .domains import Annulus, PuncturedPlane, sample_grid
+from .domains import Annulus, PuncturedPlane
 from .errors import (
     BadStencil,
     ConditionViolation,
@@ -24,7 +24,6 @@ from .errors import (
     MultivaluedImmersion,
     PeriodObstruction,
     RequiresExactMode,
-    StageFailure,
     UnsupportedPoint,
 )
 from .gaussmap import (
@@ -54,7 +53,6 @@ from .metric import (
     conformal_factor,
     gauss_curvature_numeric,
     is_complete,
-    path_length,
 )
 from .nonorientable import (
     CoverSpec,

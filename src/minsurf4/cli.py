@@ -2,7 +2,8 @@
 
 Exit codes: 0 verified or hypothesis-not-applicable, 1 usage/config error,
 2 negative verdict: a COUNTEREXAMPLE flag (which no correct build can
-produce) or a failed stage of the nonorientable pipeline. All artifacts are
+produce), a Lagrangian surface over the bound of 3 omitted values, or a
+failed stage of the nonorientable pipeline. All artifacts are
 deterministic for fixed config + seed.
 """
 
@@ -36,7 +37,7 @@ from .report import (
     rows_to_csv,
     write_text_atomic,
 )
-from .scalars import parse_scalar, to_complex
+from .scalars import parse_scalar
 from .weierstrass import (
     check_conformality,
     check_regularity,
@@ -176,21 +177,18 @@ def cmd_falsify(args):
 
 def cmd_lagrangian(args):
     cfg = load_config(args.config)
-    spec = cfg.need("lagrangian")
+    block = cfg.need("lagrangian")
+    spec, samples, box = block["spec"], block["samples"], block["box"]
     domain = cfg.domain if cfg.domain is not None else PuncturedPlane([])
-    block = cfg.raw.get("lagrangian", {})
     seed = args.seed if args.seed is not None else cfg.seed
-    samples = int(block.get("samples", 40))
-    box = float(block.get("box", 2.0))
     nd_ok, nd_offenders = nondegenerate(spec, domain)
     probes = {}
-    for text in block.get("probes", ["0"]):
-        z = to_complex(parse_scalar(str(text)))
+    for text, point in block["probes"].items():
         try:
-            lam2, K = metric_curvature(spec, z)
-            probes[str(text)] = {"lambda2": lam2, "K": K}
+            lam2, K = metric_curvature(spec, point)
+            probes[text] = {"lambda2": lam2, "K": K}
         except MinSurfError as e:
-            probes[str(text)] = {"error": str(e)}
+            probes[text] = {"error": str(e)}
     rng = derive_rng(seed, "lagrangian-cli")
     worst_symp = worst_harm = 0.0
     used = 0
@@ -227,7 +225,7 @@ def cmd_lagrangian(args):
         tolerances={"stencil": 1e-3},
     )
     _emit(args, report)
-    return 0
+    return 2 if corollary is not None and corollary["bound_holds"] is False else 0
 
 
 def cmd_nonorientable(args):

@@ -4,14 +4,15 @@ Scalars, polynomials, rational functions, and Laurent polynomials appear as
 strings in the grammars of `parse_scalar`, `parse_poly`, `parse_rational`,
 and `parse_laurent`, so rational data stays exact through the file format.
 Floats are accepted only where a quantity is genuinely real-valued (R, beta,
-box, slack). Every section lists the keys it reads and refuses any other, so
-a misspelt or retired key is an error rather than silently ignored; integer
-fields refuse booleans.
+box, slack), and must be finite there. Every section lists the keys it reads
+and refuses any other, so a misspelt or retired key is an error rather than
+silently ignored; integer fields refuse booleans.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from .domains import Annulus, PuncturedPlane
 from .errors import ConfigError
@@ -53,8 +54,8 @@ def _positive(value, where):
         out = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where} must be a number") from None
-    if not out > 0.0:
-        raise ConfigError(f"{where} must be positive")
+    if not (out > 0.0 and math.isfinite(out)):
+        raise ConfigError(f"{where} must be a finite positive number")
     return out
 
 
@@ -108,6 +109,8 @@ def parse_weierstrass(block):
 
 
 def parse_lagrangian(block):
+    """{"spec": LagrangianSpec, "probes": {text: exact point}, "samples": int,
+    "box": float}; the defaults are probe "0", 40 samples and box 2."""
     block = _as_mapping(block, "lagrangian", ("F1", "F2", "beta", "probes", "samples", "box"))
     try:
         f1 = parse_rational(str(_require(block, "F1", "lagrangian")))
@@ -119,9 +122,19 @@ def parse_lagrangian(block):
         beta = float(beta)
     except (TypeError, ValueError):
         raise ConfigError("lagrangian beta must be a real number") from None
-    if "samples" in block:
-        _integer(block["samples"], "lagrangian samples", 1)
-    return LagrangianSpec.from_pair(HolomorphicPair(f1, f2), beta=beta)
+    probes_raw = block.get("probes", ["0"])
+    if not isinstance(probes_raw, list):
+        raise ConfigError("lagrangian probes must be a list")
+    try:
+        probes = {str(t): parse_scalar(str(t)) for t in probes_raw}
+    except ValueError as e:
+        raise ConfigError(f"lagrangian probe: {e}") from None
+    return {
+        "spec": LagrangianSpec.from_pair(HolomorphicPair(f1, f2), beta=beta),
+        "probes": probes,
+        "samples": _integer(block.get("samples", 40), "lagrangian samples", 1),
+        "box": _positive(block.get("box", 2.0), "lagrangian box"),
+    }
 
 
 def parse_nonorientable(block):

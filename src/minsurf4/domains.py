@@ -2,16 +2,16 @@
 
 Boundary components are first-class values so completeness reports can name
 them: each puncture, the point at infinity, and (for annuli) the two circles.
+Punctures are exact Gaussian rationals; a float puncture raises
+RequiresExactMode.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 import random
 
-from .errors import DomainError, InfeasibleSampling
-from .scalars import as_scalar, is_exact, to_complex
+from .errors import DomainError
+from .scalars import as_scalar, to_complex
 from .sphere import INFINITY, SpherePoint, format_point
 
 PUNCTURE = "puncture"
@@ -43,15 +43,8 @@ class BoundaryPoint:
 
 
 def _check_distinct(points):
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = points[i], points[j]
-            if is_exact(a) and is_exact(b):
-                if a == b:
-                    raise DomainError("punctures must be distinct")
-            elif abs(to_complex(a) - to_complex(b)) <= 1e-7 * (1.0 + abs(to_complex(a))):
-                raise DomainError("punctures must be distinct (within resolution)")
+    if len(set(points)) != len(points):
+        raise DomainError("punctures must be distinct")
 
 
 class PuncturedPlane:
@@ -133,44 +126,3 @@ def derive_rng(*parts):
     site and stable across processes (tuple seeds hash with the per-process
     salt and must not be used)."""
     return random.Random("|".join(str(p) for p in parts))
-
-
-def sample_grid(domain, n, exclusion_radius=1e-3, seed=0):
-    """n deterministic sample points keeping exclusion_radius from punctures.
-
-    Punctured plane: uniform in a box covering the punctures with margin.
-    Annulus: log-uniform radius, uniform angle, strictly inside the circles.
-    """
-    rng = derive_rng(seed, n, "sample-grid")
-    out = []
-    tries = 0
-    limit = 1000 * max(n, 1)
-    if isinstance(domain, PuncturedPlane):
-        reach = 2.0 + max((abs(to_complex(p)) for p in domain.punctures), default=0.0)
-
-        def draw():
-            return complex(rng.uniform(-reach, reach), rng.uniform(-reach, reach))
-
-    elif isinstance(domain, Annulus):
-        lo, hi = math.log(1.0 / domain.R), math.log(domain.R)
-
-        def draw():
-            r = math.exp(rng.uniform(lo, hi))
-            return r * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-
-    else:
-        raise DomainError(f"unknown domain type {type(domain).__name__}")
-
-    while len(out) < n:
-        tries += 1
-        if tries > limit:
-            raise InfeasibleSampling(
-                f"placed {len(out)} of {n} samples in {tries} tries; "
-                f"exclusion radius {exclusion_radius} too large for the domain"
-            )
-        z = draw()
-        if isinstance(domain, Annulus) and not (1.0 / domain.R < abs(z) < domain.R):
-            continue
-        if all(abs(z - to_complex(p)) > exclusion_radius for p in domain.punctures):
-            out.append(z)
-    return out

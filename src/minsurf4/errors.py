@@ -22,11 +22,11 @@ class ExponentUndefined(MinSurfError, ValueError):
 
 
 class InfeasibleSampling(MinSurfError, RuntimeError):
-    """Rejection sampling could not place the requested number of points."""
+    """Rejection sampling gave up: no acceptable draw within its cap."""
 
 
 class InvalidPath(MinSurfError, ValueError):
-    """Integration path passes through a singular point at an interior parameter."""
+    """An integration endpoint (base point or target) is a pole of the forms."""
 
 
 class BadStencil(MinSurfError, ValueError):
@@ -67,15 +67,6 @@ class PeriodObstruction(MinSurfError, ValueError):
 
 class KSearchExhausted(MinSurfError, RuntimeError):
     """No admissible odd covering degree below the search cap."""
-
-
-class StageFailure(MinSurfError, RuntimeError):
-    """A pipeline stage failed; carries the stage name."""
-
-    def __init__(self, stage, details=""):
-        self.stage = stage
-        self.details = details
-        super().__init__(f"stage {stage!r} failed: {details}")
 
 
 class ConfigError(MinSurfError, ValueError):

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ConstantMapError, DomainError, FlatSurfaceError
+from .errors import ConstantMapError, DomainError, FlatSurfaceError, InfeasibleSampling
 from .domains import PuncturedPlane, derive_rng
 from .metric import MetricSpec, is_complete
-from .poly import Polynomial, multiplicity_at, roots
+from .poly import Polynomial, multiplicity_at
 from .rational import INF, MoebiusTransform, RationalFunction
-from .scalars import GaussianRational, is_exact, to_complex
+from .scalars import GaussianRational
 from .sphere import INFINITY, SpherePoint, dedupe_points, format_point
-
-APPROX_TOL = 1e-7
 
 
 def _boundary_images(g, domain):
@@ -48,16 +46,7 @@ def _all_preimages_on_boundary(g, value, domain):
         raise ConstantMapError("map is identically the tested value")
     if q.degree <= 0:
         return True
-    if q.exact and all(is_exact(p) for p in domain.punctures):
-        covered = sum(multiplicity_at(q, p) for p in domain.punctures)
-        return covered == q.degree
-    covered = 0
-    for root, mult in roots(q):
-        if any(
-            abs(root - to_complex(p)) <= APPROX_TOL * (1.0 + abs(root))
-            for p in domain.punctures
-        ):
-            covered += mult
+    covered = sum(multiplicity_at(q, p) for p in domain.punctures)
     return covered == q.degree
 
 
@@ -66,18 +55,14 @@ def exceptional_values(g, domain):
 
     A value can only be omitted if it is a boundary image, so candidates are
     the extended values of g at the punctures and at infinity; each candidate
-    is kept when all of its preimages lie on the boundary. Exact data gives
-    an exact answer; approximate data matches roots to punctures within a
-    fixed resolution.
+    is kept when all of its preimages lie on the boundary, which exact
+    multiplicities at the punctures decide; the answer is exact.
     """
     if not isinstance(domain, PuncturedPlane):
         raise DomainError("exceptional-value analysis needs a punctured plane")
     if g.is_constant():
         raise ConstantMapError("constant maps have no exceptional-value count")
-    candidates = dedupe_points(
-        _boundary_images(g, domain),
-        0.0 if g.exact else APPROX_TOL,
-    )
+    candidates = dedupe_points(_boundary_images(g, domain))
     omitted = [
         v for v in candidates if _all_preimages_on_boundary(g, v, domain)
     ]
@@ -411,14 +396,17 @@ class FalsifyRow:
 
 
 def _run_one(seed, index, bounds):
+    """One row; with require_complete, instance `index` is redrawn until its
+    metric is complete, and 200 incomplete draws raise InfeasibleSampling."""
     attempts = 200 if bounds.require_complete else 1
-    spec = domain = None
     for attempt in range(attempts):
         rng = derive_rng(seed, index, attempt, "falsify")
         spec, domain = _draw_instance(rng, bounds)
         report = verify_main_inequality(spec, domain)
         if not bounds.require_complete or report.completeness.overall is True:
             break
+    else:
+        raise InfeasibleSampling(f"falsify instance {index}: no complete metric in {attempts} draws")
     qs = [f.q for f in report.factors if not f.constant]
     return FalsifyRow(
         index=index,

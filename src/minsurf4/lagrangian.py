@@ -14,11 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import (
-    BadStencil,
-    DegeneratePoint,
-    DomainError,
-)
+from .errors import BadStencil, DegeneratePoint, DomainError, UnsupportedPoint
 from .domains import PuncturedPlane
 from .gaussmap import exceptional_values
 from .metric import MetricSpec, is_complete
@@ -105,17 +101,10 @@ def nondegenerate(spec, domain):
             return True, []
         offenders = [z for z, _ in roots(other.num) if domain.contains(z)]
         return not offenders, offenders
-    if spec.S1.exact and spec.S2.exact:
-        g = gcd(spec.S1.num, spec.S2.num)
-        if g.degree <= 0:
-            return True, []
-        offenders = [z for z, _ in roots(g) if domain.contains(z)]
-        return not offenders, offenders
-    offenders = [
-        z
-        for z, _ in roots(spec.S1.num)
-        if domain.contains(z) and abs(spec.S2.eval_at(z)) < 1e-9
-    ]
+    g = gcd(spec.S1.num, spec.S2.num)
+    if g.degree <= 0:
+        return True, []
+    offenders = [z for z, _ in roots(g) if domain.contains(z)]
     return not offenders, offenders
 
 
@@ -165,17 +154,31 @@ def immersion_xyzw_phase_dropped(spec, z, coord):
 
 
 def metric_curvature(spec, z):
-    """(lambda^2, K) at z; degenerate points are refused."""
+    """(lambda^2, K) at z, evaluated in floats; degenerate points are
+    refused, and so are points where z, lambda^2 or K overflows a float
+    (UnsupportedPoint)."""
+    z = _finite(lambda: to_complex(z), "z", z)
     s1 = to_complex(spec.S1.eval_at(z))
     s2 = to_complex(spec.S2.eval_at(z))
-    lam2 = abs(s1) ** 2 + abs(s2) ** 2
+    lam2 = _finite(lambda: abs(s1) ** 2 + abs(s2) ** 2, "lambda^2", z)
     if lam2 == 0.0:
         raise DegeneratePoint(f"metric vanishes at {z}")
     d1 = to_complex(spec.S1.derivative().eval_at(z))
     d2 = to_complex(spec.S2.derivative().eval_at(z))
     # Lagrange identity: Delta log(|S1|^2+|S2|^2) = 4|S1 S2' - S2 S1'|^2 / lam2^2
-    K = -2.0 * abs(s1 * d2 - s2 * d1) ** 2 / lam2**3
+    K = _finite(lambda: -2.0 * abs(s1 * d2 - s2 * d1) ** 2 / lam2**3, "K", z)
     return lam2, K
+
+
+def _finite(value, name, z):
+    """value() as a finite float, or UnsupportedPoint naming the quantity."""
+    try:
+        out = value()
+    except OverflowError:
+        out = math.inf
+    if not cmath.isfinite(out):
+        raise UnsupportedPoint(f"{name} overflows a float at z = {z}")
+    return out
 
 
 def metric_spec(spec):

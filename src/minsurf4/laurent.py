@@ -1,8 +1,9 @@
-"""Laurent polynomials on the punctured plane.
+"""Laurent polynomials over the Gaussian rationals on the punctured plane.
 
-A Laurent polynomial is z^lo * poly for one Polynomial whose constant term is
-nonzero (lo = 0 for zero), so the ring operations, exactness and the float
-kernel are Polynomial's; this module adds only the shift.
+A Laurent polynomial is z^lo * poly for one exact Polynomial whose constant
+term is nonzero (lo = 0 for zero), so the ring operations, the refusal of
+float coefficients and the float evaluation kernel are Polynomial's; this
+module adds only the shift.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ class LaurentPoly:
     def coeffs(self):
         """Ascending coefficients from z^lo."""
         return self.poly.coeffs
-
-    @property
-    def exact(self):
-        return self.poly.exact
 
     @classmethod
     def from_dict(cls, terms):
@@ -182,6 +179,6 @@ def format_laurent(p):
     return format_terms(p.terms())
 
 
-def parse_laurent(text, exact=True):
+def parse_laurent(text):
     """The Laurent polynomial written in the grammar of parse_terms."""
-    return LaurentPoly.from_dict(parse_terms(text, exact, negative=True))
+    return LaurentPoly.from_dict(parse_terms(text, negative=True))

@@ -11,6 +11,10 @@ metric is complete at b iff sigma(b) <= -1: the conformal factor grows like
 t^sigma in the chart distance t, int_0 t^sigma dt diverges exactly for
 sigma <= -1, and |dz| >= |d|z - b|| bounds every divergent path below by the
 radial integral, so the radial rate decides all paths.
+
+The factors g_i and omega_hat are exact rational functions, so every
+exponent is an exact order of vanishing and every verdict is a proof. Floats
+appear only in the conformal factor and the curvature at float points.
 """
 
 from __future__ import annotations
@@ -18,14 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import (
-    BadStencil,
-    DomainError,
-    ExponentUndefined,
-    InvalidPath,
-)
+from .errors import BadStencil, DomainError, ExponentUndefined
 from .domains import AT_INFINITY, INNER_CIRCLE, OUTER_CIRCLE, BoundaryPoint
 from .rational import INF, RationalFunction
 from .scalars import as_scalar, is_exact, to_complex
@@ -43,7 +40,7 @@ COMPLETENESS_RULE = (
 class MetricSpec:
     """Factors (g_i, m_i) with integer weights m_i >= 0 and a 1-form omega_hat."""
 
-    __slots__ = ("factors", "omega_hat", "exact")
+    __slots__ = ("factors", "omega_hat")
 
     def __init__(self, factors, omega_hat):
         facs = []
@@ -57,35 +54,18 @@ class MetricSpec:
             raise DomainError("omega_hat must be a nonzero rational function")
         object.__setattr__(self, "factors", tuple(facs))
         object.__setattr__(self, "omega_hat", omega_hat)
-        object.__setattr__(
-            self, "exact", omega_hat.exact and all(g.exact for g, _ in facs)
-        )
 
     def __setattr__(self, name, value):
         raise AttributeError("MetricSpec is immutable")
-
-    def singular_points(self):
-        """Complex locations where the conformal factor blows up."""
-        out = []
-        from .poly import roots
-
-        for root, _ in roots(self.omega_hat.den) if self.omega_hat.den.degree > 0 else []:
-            out.append(root)
-        for g, m in self.factors:
-            if m > 0 and g.den.degree > 0:
-                for root, _ in roots(g.den):
-                    out.append(root)
-        return out
 
 
 def conformal_factor(spec, z):
     """lambda(z) as a float; math.inf at poles of the factor.
 
-    Exact data at an exact point squares everything in rational arithmetic
-    and takes one square root at the end.
+    At an exact point everything is squared in rational arithmetic and one
+    square root is taken at the end.
     """
-    exact_path = spec.exact and is_exact(z)
-    if exact_path:
+    if is_exact(z):
         pt = as_scalar(z)
         prod2 = Fraction(1)
         winf, wval = spec.omega_hat.eval_extended(pt)
@@ -133,7 +113,7 @@ def boundary_exponent(spec, boundary):
         if boundary.kind in (INNER_CIRCLE, OUTER_CIRCLE):
             raise ExponentUndefined(
                 "circle boundaries carry no rational-order data; "
-                "use numeric path lengths or covering bounds"
+                "completeness there rests on covering bounds"
             )
         if boundary.kind == AT_INFINITY:
             return exponent_at(spec, INF)
@@ -211,148 +191,6 @@ def is_complete(spec, domain):
     else:
         overall = all(decided)
     return CompletenessReport(entries, overall)
-
-
-# -- numeric lengths ------------------------------------------------------------
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _gl_segment(f, a, b):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return sum(w * f(mid + half * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS)) * half
-
-
-def _adaptive(f, a, b, tol, depth=0, whole=None):
-    if whole is None:
-        whole = _gl_segment(f, a, b)
-    mid = 0.5 * (a + b)
-    left = _gl_segment(f, a, mid)
-    right = _gl_segment(f, mid, b)
-    if depth >= 40:
-        return left + right
-    if abs(left + right - whole) <= tol:
-        return left + right
-    return _adaptive(f, a, mid, tol / 2, depth + 1, left) + _adaptive(
-        f, mid, b, tol / 2, depth + 1, right
-    )
-
-
-def _segment_interior_guard(a, b, singular):
-    """Raise if a singular point sits on the open segment (a, b)."""
-    ab = b - a
-    L = abs(ab)
-    if L == 0:
-        return
-    for s in singular:
-        t = ((s - a) / ab).real
-        if 1e-9 < t < 1 - 1e-9:
-            dist = abs(a + t * ab - s)
-            if dist <= 1e-9 * (1.0 + abs(s)):
-                raise InvalidPath(
-                    f"path passes through a metric pole near {s:.6g} "
-                    f"at segment parameter {t:.3g}"
-                )
-
-
-def _is_singular_endpoint(spec, point):
-    """Pole of the conformal factor at an exact or numeric endpoint."""
-    if spec.exact and is_exact(point):
-        pt = as_scalar(point)
-        if spec.omega_hat.order_at(pt) < 0:
-            return True
-        return any(
-            m > 0 and not g.is_zero() and g.pole_order(pt) > 0
-            for g, m in spec.factors
-        )
-    z = to_complex(point)
-    return not math.isfinite(conformal_factor(spec, z))
-
-
-def path_length(spec, path, tol=1e-8, cap=1e6):
-    """Length of a piecewise-linear path; math.inf marks divergence.
-
-    Path entries are finite points; the first or last may be the sphere
-    infinity (SpherePoint or the INF marker), meaning a ray to infinity in
-    the direction of the neighbouring segment. Divergence at a singular
-    endpoint is decided by the boundary exponent (sigma <= -1 there always,
-    since a pole of the factor forces sigma < 0); running quadrature that
-    exceeds the cap also reports divergence.
-    """
-    pts = list(path)
-    if len(pts) < 2:
-        raise InvalidPath("path needs at least two points")
-
-    def _norm_pt(p):
-        if p is INF:
-            return INF
-        if isinstance(p, SpherePoint):
-            return INF if p.is_infinity else p.value
-        return as_scalar(p)
-
-    pts = [_norm_pt(p) for p in pts]
-    for p in pts[1:-1]:
-        if p is INF:
-            raise InvalidPath("infinity may only be a path endpoint")
-    if pts[0] is INF:
-        pts = pts[::-1]
-    singular = spec.singular_points()
-    total = 0.0
-    for i in range(len(pts) - 1):
-        a, b = pts[i], pts[i + 1]
-        if b is INF:
-            length = _tail_to_infinity(spec, a, tol)
-        else:
-            length = _finite_segment(spec, a, b, singular, tol, cap - total)
-        if math.isinf(length):
-            return math.inf
-        total += length
-        if total > cap:
-            return math.inf
-    return total
-
-
-def _finite_segment(spec, a, b, singular, tol, budget):
-    za, zb = to_complex(a), to_complex(b)
-    if za == zb:
-        return 0.0
-    _segment_interior_guard(za, zb, singular)
-    a_sing = _is_singular_endpoint(spec, a)
-    b_sing = _is_singular_endpoint(spec, b)
-    if a_sing or b_sing:
-        # a pole endpoint has sigma <= -1, so the integral diverges; report
-        # the symbolic exponent decision rather than chasing the quadrature
-        return math.inf
-    L = abs(zb - za)
-
-    def integrand(t):
-        lam = conformal_factor(spec, za + t * (zb - za))
-        return lam * L
-
-    val = _adaptive(integrand, 0.0, 1.0, tol)
-    return math.inf if val > budget else val
-
-
-def _tail_to_infinity(spec, a, tol):
-    sigma = exponent_at(spec, INF)
-    if sigma <= -1:
-        return math.inf
-    za = to_complex(a)
-    if za == 0:
-        raise InvalidPath("ray to infinity needs a nonzero start point")
-    w0 = 1.0 / za
-
-    # straight w-chart path from w0 to 0; the integrand is smooth up to 0
-    def integrand(t):
-        w = w0 * (1.0 - t)
-        if w == 0:
-            return 0.0
-        lam = conformal_factor(spec, 1.0 / w)
-        return lam * abs(w0) / (abs(w) ** 2)
-
-    # sigma >= 0 means lam(1/w)/|w|^2 ~ |w|^sigma stays bounded near 0
-    return _adaptive(integrand, 0.0, 1.0, tol)
 
 
 def gauss_curvature_numeric(spec, z, h=1e-3):

@@ -28,19 +28,12 @@ import math
 import numpy as np
 
 from .domains import derive_rng
-from .errors import (
-    ConditionViolation,
-    DomainError,
-    KSearchExhausted,
-    PeriodObstruction,
-    RequiresExactMode,
-    StageFailure,
-)
+from .errors import ConditionViolation, DomainError, KSearchExhausted, PeriodObstruction
 from .laurent import LaurentPoly, format_laurent
 from .meshing import Mesh
 from .poly import Polynomial, roots
 from .rational import RationalFunction
-from .scalars import GaussianRational, as_scalar, conj, format_scalar, is_exact, to_complex
+from .scalars import GaussianRational, as_scalar, format_scalar, is_exact, to_complex
 from .sphere import SpherePoint, dedupe_points, format_point, missing_antipode, rp2_count
 
 
@@ -70,8 +63,6 @@ def check_weierstrass_symmetry(w):
     Tests g_i^sigma * g_i = -1 (with g^sigma(z) = conj(g(-1/conj(z)))) and
     omega_hat^sigma(z) = z^2 g1 g2 omega_hat(z). Returns per-condition flags.
     """
-    if not w.exact:
-        raise RequiresExactMode("symmetry checks are exact identity tests")
 
     def g_ok(g):
         if g.is_zero():
@@ -89,21 +80,16 @@ def check_weierstrass_symmetry(w):
     }
 
 
-def involution_omitted_closure(points, tol=0.0):
+def involution_omitted_closure(points):
     """True iff the set is closed under the antipodal map."""
-    return missing_antipode(dedupe_points(points, tol), tol) is None
+    return missing_antipode(dedupe_points(points)) is None
 
 
 def validate_symmetric_laurent(phi):
     """coeff(-n) = (-1)^{n+1} conj(coeff(n)) and purely imaginary constant."""
     if not isinstance(phi, LaurentPoly):
         raise DomainError("expected a Laurent polynomial")
-    reflected = phi.i0_pullback()
-    if phi.exact:
-        return reflected == -phi
-    diff = reflected + phi
-    scale = max((abs(c) for c in phi.coeffs), default=0.0)
-    return all(abs(c) <= 1e-12 * max(1.0, scale) for c in diff.coeffs)
+    return phi.i0_pullback() == -phi
 
 
 class SymmetricLaurentData:
@@ -158,7 +144,7 @@ def f_from_coefficients(b):
     for n, bn in enumerate(b, start=1):
         bn = as_scalar(bn)
         terms[n] = bn
-        terms[-n] = -conj(bn) if n % 2 else conj(bn)
+        terms[-n] = -bn.conjugate() if n % 2 else bn.conjugate()
     return LaurentPoly.from_dict(terms)
 
 
@@ -229,11 +215,7 @@ def build_f(b, circle_tol=ROOT_CIRCLE_TOL):
 
 def validate_symmetric_f(f):
     """f(-1/conj(z)) = conj(f(z)) as a coefficient identity."""
-    if f.exact:
-        return f.i0_pullback() == f
-    diff = f.i0_pullback() - f
-    scale = max((abs(c) for c in f.coeffs), default=0.0)
-    return all(abs(c) <= 1e-12 * max(1.0, scale) for c in diff.coeffs)
+    return f.i0_pullback() == f
 
 
 class CoverSpec:
@@ -257,12 +239,6 @@ class CoverSpec:
         raise AttributeError("CoverSpec is immutable")
 
 
-def _residue_vanishes(value):
-    if isinstance(value, GaussianRational):
-        return not value
-    return abs(value) <= 1e-12
-
-
 def residue_condition(phi, f, k):
     """Residue at 0 of phi(z^k) f(z) dz/z: the constant Laurent coefficient
     of the product. Returns (vanishes, value). k may be any positive integer
@@ -274,7 +250,7 @@ def residue_condition(phi, f, k):
         raise DomainError("k must be a positive integer")
     fc = f.f if isinstance(f, FCandidate) else f
     value = (phi.compose_power(k) * fc).coeff(0)
-    return _residue_vanishes(value), value
+    return not value, value
 
 
 def pullback_psi(data, f, cover):
@@ -287,7 +263,7 @@ def pullback_psi(data, f, cover):
     for j, phi in enumerate(data.phi):
         product = phi.compose_power(k) * f.f
         value = product.coeff(0)
-        if not _residue_vanishes(value):
+        if value:
             raise PeriodObstruction(
                 f"residue condition fails for component {j}: {format_scalar(value)}"
             )
@@ -457,7 +433,7 @@ def half_domain_mesh(psis, rho, n_r=8, n_theta=64, metadata=None):
     """
     if n_theta % 2:
         raise DomainError("n_theta must be even for the identification pairs")
-    bad = [j for j, h in enumerate(psis) if not _residue_vanishes(h.coeff(0))]
+    bad = [j for j, h in enumerate(psis) if h.coeff(0)]
     if bad:
         raise PeriodObstruction(f"components {bad} have a z^0 term: psi has a loop period")
     r_hi = math.sqrt(rho)
@@ -497,7 +473,6 @@ def assemble_report(
     seed=0,
     slack=1e-12,
     mesh_params=None,
-    raise_on_failure=False,
 ):
     """Run the full Moebius-strip pipeline; stops at the first failing stage.
 
@@ -517,8 +492,6 @@ def assemble_report(
         nonlocal failed
         failed = name
         stages.append(StageResult(name, "failed", details))
-        if raise_on_failure:
-            raise StageFailure(name, str(details))
 
     def ok(name, details=None):
         stages.append(StageResult(name, "passed", details))
@@ -586,7 +559,7 @@ def assemble_report(
             total = LaurentPoly()
             for p in data.phi:
                 total = total + p * p
-            if total.is_zero() if total.exact else all(abs(c) <= 1e-12 for c in total.coeffs):
+            if total.is_zero():
                 ok("conformality", {"identity": "sum phi_j^2 == 0"})
             else:
                 fail("conformality", {"residual_terms": format_laurent(total)})

@@ -1,10 +1,11 @@
-"""Univariate polynomials over Gaussian rationals or complex floats.
+"""Univariate polynomials over the Gaussian rationals.
 
-Coefficients are stored ascending. A polynomial is exact when every
-coefficient is a GaussianRational; any float/complex coefficient demotes the
-whole polynomial to approximate mode. Exact mode supports division, gcd and
-square-free decomposition; root finding returns complex approximations with
-exact multiplicities in exact mode.
+Coefficients are stored ascending, and every one is a GaussianRational: a
+float coefficient raises RequiresExactMode. Division, gcd, square-free
+decomposition and multiplicities are exact; floats enter only as
+evaluation points and as outputs, the complex roots (with exact
+multiplicities) and the values of `horner` on the cached complex
+coefficients.
 
 The exact kernel runs in Python integers. `clear_denominators` writes an
 exact polynomial as 1/L times Gaussian-integer coefficients, given as
@@ -25,19 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, RequiresExactMode
-from .scalars import GaussianRational, as_scalar, conj, format_scalar, is_exact, parse_scalar, to_complex
-
-CLUSTER_TOL = 1e-8
-
-
-def _norm_coeffs(coeffs):
-    vals = [as_scalar(c) for c in coeffs]
-    exact = all(isinstance(v, GaussianRational) for v in vals)
-    if not exact:
-        vals = [to_complex(v) for v in vals]
-    while vals and not vals[-1]:
-        vals.pop()
-    return tuple(vals), exact
+from .scalars import GaussianRational, as_scalar, format_scalar, is_exact, parse_scalar, to_complex
 
 
 def horner(ccoeffs, z):
@@ -54,13 +43,14 @@ def horner(ccoeffs, z):
 
 class Polynomial:
     # _ccoeffs: the complex coefficient tuple, built on first float use
-    __slots__ = ("coeffs", "exact", "_ccoeffs")
+    __slots__ = ("coeffs", "_ccoeffs")
 
     def __init__(self, coeffs=()):
-        vals, exact = _norm_coeffs(coeffs)
-        object.__setattr__(self, "coeffs", vals)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "_ccoeffs", None if exact else vals)
+        vals = [as_scalar(c) for c in coeffs]
+        while vals and not vals[-1]:
+            vals.pop()
+        object.__setattr__(self, "coeffs", tuple(vals))
+        object.__setattr__(self, "_ccoeffs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -95,7 +85,7 @@ class Polynomial:
     def coeff(self, k):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return GaussianRational(0) if self.exact else 0j
+        return GaussianRational(0)
 
     def leading(self):
         if self.is_zero():
@@ -129,24 +119,16 @@ class Polynomial:
         return other - self
 
     def __mul__(self, other):
-        """Product. Exact factors are cleared to Gaussian integers over La
-        and Lb, multiplied in Python integers and divided once by La Lb."""
+        """Product. The factors are cleared to Gaussian integers over La and
+        Lb, multiplied in Python integers and divided once by La Lb."""
         other = _as_poly(other)
         if other is None:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Polynomial()
-        if self.exact and other.exact:
-            la, (a,) = clear_denominators(self)
-            lb, (b,) = clear_denominators(other)
-            return _from_gaussian_integers(zi_mul(a, b), la * lb)
-        a, b = self.coeffs, other.coeffs
-        out = [None] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                t = ai * bj
-                out[i + j] = t if out[i + j] is None else out[i + j] + t
-        return Polynomial(out)
+        la, (a,) = clear_denominators(self)
+        lb, (b,) = clear_denominators(other)
+        return _from_gaussian_integers(zi_mul(a, b), la * lb)
 
     __rmul__ = __mul__
 
@@ -163,7 +145,7 @@ class Polynomial:
         return out
 
     def __divmod__(self, other):
-        """(quotient, remainder). Exact operands are cleared by one common L
+        """(quotient, remainder). The operands are cleared by one common L
         to A and B over Z[i]; f A = Q B + R in Z[i] for a positive integer f
         gives the quotient Q / f and the remainder R / (L f)."""
         other = _as_poly(other)
@@ -173,20 +155,9 @@ class Polynomial:
             raise DomainError("polynomial division by zero")
         if self.degree < other.degree:
             return Polynomial(), self
-        if self.exact and other.exact:
-            lcd, (a, b) = clear_denominators(self, other)
-            q, r, scale = _pseudo_divmod(a, b)
-            return _from_gaussian_integers(q, scale), _from_gaussian_integers(r, lcd * scale)
-        rem = list(self.coeffs)
-        lead = other.leading()
-        qdeg = self.degree - other.degree
-        quot = [None] * (qdeg + 1)
-        for k in range(qdeg, -1, -1):
-            c = rem[other.degree + k] / lead
-            quot[k] = c
-            for j, oc in enumerate(other.coeffs):
-                rem[j + k] = rem[j + k] - c * oc
-        return Polynomial(quot), Polynomial(rem[: other.degree])
+        lcd, (a, b) = clear_denominators(self, other)
+        q, r, scale = _pseudo_divmod(a, b)
+        return _from_gaussian_integers(q, scale), _from_gaussian_integers(r, lcd * scale)
 
     def __truediv__(self, other):
         q, r = divmod(self, other)
@@ -215,14 +186,13 @@ class Polynomial:
         return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def eval(self, z):
-        """Value at z. Exact data at an exact point gives an exact value; a
-        float point, float data or a numpy array of points gives complex."""
+        """Value at z: exact at an exact point, complex at a float point or,
+        elementwise, at a numpy array of points."""
         if isinstance(z, np.ndarray):
             return horner(self.to_complex_coeffs(), z)
+        if not is_exact(z):
+            return horner(self.to_complex_coeffs(), complex(z))
         z = as_scalar(z)
-        if isinstance(z, complex) or not self.exact:
-            zz = z if isinstance(z, complex) else to_complex(z)
-            return horner(self.to_complex_coeffs(), zz)
         acc = GaussianRational(0)
         for c in reversed(self.coeffs):
             acc = acc * z + c
@@ -233,10 +203,7 @@ class Polynomial:
     def monic(self):
         if self.is_zero():
             return self
-        if self.exact:
-            return _monic(clear_denominators(self)[1][0])
-        lead = self.leading()
-        return Polynomial([c / lead for c in self.coeffs])
+        return _monic(clear_denominators(self)[1][0])
 
     def compose(self, inner):
         inner = _as_poly(inner)
@@ -274,7 +241,7 @@ def conj_reflect(p, n):
     (-1)^k conj(a_k) at z^{n-k}."""
     out = [0] * (n + 1)
     for k, a in enumerate(p.coeffs):
-        c = conj(a)
+        c = a.conjugate()
         out[n - k] = -c if k % 2 else c
     return Polynomial(out)
 
@@ -377,8 +344,6 @@ def gcd(a, b):
     divided by its leading coefficient only at the end. The monic gcd is
     unique, so this is the gcd the field Euclid gives.
     """
-    if not (a.exact and b.exact):
-        raise RequiresExactMode("gcd needs exact coefficients")
     _, (u, v) = clear_denominators(a, b)
     u, v = _primitive_part(u), _primitive_part(v)
     if len(u) < len(v):
@@ -400,9 +365,7 @@ def gcd_many(polys):
 
 
 def squarefree_decomposition(p):
-    """Yun's algorithm: list of (factor, multiplicity), factors monic, exact."""
-    if not p.exact:
-        raise RequiresExactMode("square-free decomposition needs exact coefficients")
+    """Yun's algorithm: list of (factor, multiplicity), factors monic."""
     if p.is_zero():
         raise DomainError("zero polynomial")
     out = []
@@ -474,47 +437,24 @@ def _aberth(coeffs, tol=1e-14, maxiter=200):
     return zs
 
 
-def _cluster(points, tol):
-    """Group near-coincident points; returns (centroid, count) pairs."""
-    groups = []
-    for z in sorted(points, key=lambda w: (w.real, w.imag)):
-        for g in groups:
-            c = g[0] / g[1]
-            if abs(z - c) <= tol * (1.0 + abs(c)):
-                g[0] += z
-                g[1] += 1
-                break
-        else:
-            groups.append([z, 1])
-    return [(g[0] / g[1], g[1]) for g in groups]
+def roots(p):
+    """Complex roots with multiplicities, sorted by (real, imag).
 
-
-def roots(p, tol=CLUSTER_TOL):
-    """Roots with multiplicities, sorted by (real, imag).
-
-    Exact input: exact square-free decomposition, then simple-root iteration
-    per factor, so multiplicities are certificates, not cluster guesses.
-    Approximate input: iteration on the full polynomial plus clustering.
+    The exact square-free decomposition gives the multiplicities, so they
+    are certificates; simple-root iteration per factor gives the locations.
     """
     if p.is_zero():
         raise DomainError("zero polynomial has no root set")
-    if p.degree == 0:
-        return []
-    if p.exact:
-        out = []
-        for factor, mult in squarefree_decomposition(p):
-            for z in _aberth(factor.to_complex_coeffs()):
-                out.append((z, mult))
-        out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-        return out
-    approx = _aberth(p.to_complex_coeffs())
-    out = _cluster(approx, tol)
+    out = []
+    for factor, mult in squarefree_decomposition(p):
+        for z in _aberth(factor.to_complex_coeffs()):
+            out.append((z, mult))
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return out
 
 
 def multiplicity_at(p, point):
-    """Order of vanishing of exact p at an exact point, by repeated division.
+    """Order of vanishing of p at an exact point, by repeated division.
 
     Write the point as s/d with s a Gaussian integer and d a positive
     integer, and let L be the common denominator of the coefficients a_k of
@@ -522,8 +462,8 @@ def multiplicity_at(p, point):
     coefficients and vanishes at w = s to the same order as p at s/d, so
     synthetic division by w - s runs in Python integers alone.
     """
-    if not p.exact or not is_exact(point):
-        raise RequiresExactMode("multiplicity_at needs exact data")
+    if not is_exact(point):
+        raise RequiresExactMode(f"multiplicity_at needs an exact point, not {point!r}")
     if p.is_zero():
         raise DomainError("zero polynomial")
     pt = as_scalar(point)
@@ -574,7 +514,7 @@ def format_terms(terms):
     return " + ".join(parts) or "0"
 
 
-def parse_terms(text, exact=True, negative=False):
+def parse_terms(text, negative=False):
     """{exponent: coefficient} of '+'/'-' separated terms such as (1/2)*z^3,
     z^-2, -z, (3-2i) and 5. The splitter never cuts inside parentheses or
     after '^'; negative exponents are refused unless negative is true."""
@@ -589,17 +529,14 @@ def parse_terms(text, exact=True, negative=False):
         if not m or (m.group("var") is None and m.group("coef") is None):
             # bare scalar term such as 5, -3/2, 2i
             try:
-                val = parse_scalar(chunk, exact=exact)
+                val = parse_scalar(chunk)
             except ValueError as e:
                 raise ValueError(f"cannot parse term {chunk!r}") from e
             terms[0] = terms.get(0, 0) + val
             continue
         sign = -1 if m.group("sign") == "-" else 1
         coef_txt = m.group("coef")
-        if coef_txt is not None:
-            val = parse_scalar(coef_txt, exact=exact)
-        else:
-            val = GaussianRational(1) if exact else 1 + 0j
+        val = GaussianRational(1) if coef_txt is None else parse_scalar(coef_txt)
         if m.group("var") is None:
             if m.group("exp") is not None:
                 raise ValueError(f"exponent without variable in {chunk!r}")
@@ -617,6 +554,6 @@ def format_poly(p):
     return format_terms(dict(enumerate(p.coeffs)))
 
 
-def parse_poly(text, exact=True):
+def parse_poly(text):
     """The polynomial written in the grammar of parse_terms."""
-    return Polynomial.from_dict(parse_terms(text, exact))
+    return Polynomial.from_dict(parse_terms(text))

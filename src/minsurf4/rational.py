@@ -1,25 +1,25 @@
-"""Rational functions of one variable, exact or approximate, plus Moebius maps.
+"""Rational functions of one variable over the Gaussian rationals, plus
+Moebius maps.
 
-Exact rationals are kept reduced (numerator and denominator coprime) with a
-monic denominator, so zero/pole orders read off multiplicities directly and
-equality is structural.
+Numerator and denominator are exact Polynomials, kept reduced (coprime)
+with a monic denominator, so zero/pole orders read off multiplicities
+directly and equality is structural. Orders and residues are taken at
+exact points only; floats enter as evaluation points.
 """
 
 from __future__ import annotations
 
-import cmath
-
 import numpy as np
 
-from .errors import DomainError, RequiresExactMode, UnsupportedPoint
-from .poly import Polynomial, conj_reflect, format_poly, gcd, multiplicity_at, parse_poly, roots
-from .scalars import GaussianRational, as_scalar, is_exact, to_complex
+from .errors import DomainError, UnsupportedPoint
+from .poly import Polynomial, conj_reflect, format_poly, gcd, multiplicity_at, parse_poly
+from .scalars import GaussianRational, as_scalar, is_exact
 
 INF = object()  # marker for the point at infinity in order bookkeeping
 
 
 class RationalFunction:
-    __slots__ = ("num", "den", "exact")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         num = num if isinstance(num, Polynomial) else Polynomial([num] if not isinstance(num, (list, tuple)) else num)
@@ -29,28 +29,17 @@ class RationalFunction:
             den = Polynomial([den] if not isinstance(den, (list, tuple)) else den)
         if den.is_zero():
             raise DomainError("zero denominator")
-        if num.exact and den.exact:
-            if not num.is_zero():
-                g = gcd(num, den)
-                if g.degree > 0:
-                    num = num / g
-                    den = den / g
-            lead = den.leading()
-            num = num * (GaussianRational(1) / lead)
-            den = den.monic()
-            exact = True
-        else:
-            num = Polynomial(num.to_complex_coeffs())
-            den = Polynomial(den.to_complex_coeffs())
-            lead = den.leading()
-            num = num * (1.0 / lead)
-            den = den.monic()
-            exact = False
+        if not num.is_zero():
+            g = gcd(num, den)
+            if g.degree > 0:
+                num = num / g
+                den = den / g
+        num = num * (GaussianRational(1) / den.leading())
+        den = den.monic()
         if num.is_zero():
             den = Polynomial([1])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "exact", exact)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -173,14 +162,14 @@ class RationalFunction:
         if z is INF:
             dn = self.num.degree - self.den.degree
             if self.is_zero() or dn < 0:
-                return False, GaussianRational(0) if self.exact else 0j
+                return False, GaussianRational(0)
             if dn > 0:
                 return True, None
             return False, self.num.leading() / self.den.leading()
         n = self.num.eval(z)
         d = self.den.eval(z)
         if not d:
-            # reduced form: numerator cannot vanish there too in exact mode
+            # reduced form: the numerator cannot vanish there too
             return True, None
         return False, n / d
 
@@ -190,53 +179,35 @@ class RationalFunction:
     # -- local orders ----------------------------------------------------------
 
     def order_at(self, point):
-        """Order of vanishing at a sphere point: zeros > 0, poles < 0.
+        """Order of vanishing at INF or an exact point: zeros > 0, poles < 0.
 
-        The zero function raises (its order is +infinity everywhere).
+        The zero function raises (its order is +infinity everywhere), and so
+        does a float point (RequiresExactMode).
         """
         if self.is_zero():
             raise DomainError("order of the zero function is undefined")
         if point is INF:
             return self.den.degree - self.num.degree
-        if self.exact and is_exact(point):
-            return multiplicity_at(self.num, point) - multiplicity_at(self.den, point)
-        z = to_complex(point) if not isinstance(point, complex) else point
-        return _approx_mult(self.num, z) - _approx_mult(self.den, z)
+        return multiplicity_at(self.num, point) - multiplicity_at(self.den, point)
 
     def pole_order(self, point):
         return max(0, -self.order_at(point))
 
     def residue_at(self, point):
-        """Residue of self dz at a finite point.
-
-        Exact data: local power-series division (reduced form, so the
-        numerator is a unit at any pole). Approximate data: small-circle
-        contour integral, exact for the trapezoid rule up to high order.
-        """
+        """Residue of self dz at a finite exact point, by local power-series
+        division (reduced form, so the numerator is a unit at any pole); a
+        float point raises RequiresExactMode."""
         if point is INF:
             raise UnsupportedPoint("residue at infinity is not supported; use a chart")
         pt = as_scalar(point)
         if self.is_zero():
-            return GaussianRational(0) if self.exact and is_exact(pt) else 0j
+            return GaussianRational(0)
         k = -self.order_at(pt)
         if k <= 0:
-            return GaussianRational(0) if self.exact and is_exact(pt) else 0j
-        if self.exact and is_exact(pt):
-            num_s = _taylor_at(self.num, pt, k)
-            den_s = _taylor_at(self.den, pt, 2 * k)
-            unit = den_s[k:]
-            series = _series_div(num_s, unit, k)
-            return series[k - 1]
-        z0 = to_complex(pt)
-        others = [r for r, _ in roots(self.den) if abs(r - z0) > 1e-7 * (1.0 + abs(z0))]
-        rad = min([abs(r - z0) for r in others], default=0.6) / 3.0
-        rad = min(rad, 0.2)
-        n = 512
-        total = 0j
-        for j in range(n):
-            w = z0 + rad * cmath.exp(2j * cmath.pi * j / n)
-            total += self.num.eval(w) / self.den.eval(w) * (w - z0)
-        return total / n
+            return GaussianRational(0)
+        num_s = _taylor_at(self.num, pt, k)
+        den_s = _taylor_at(self.den, pt, 2 * k)
+        return _series_div(num_s, den_s[k:], k)[k - 1]
 
     def is_identically_zero(self):
         """Exact zero test by evaluation at deg+1 distinct integer points.
@@ -244,8 +215,6 @@ class RationalFunction:
         A rational identity of numerator degree d that holds at more than d
         points is an identity, so this is a proof, not a heuristic.
         """
-        if not self.exact:
-            raise RequiresExactMode("identity testing needs exact coefficients")
         if self.num.is_zero():
             return True
         d = self.num.degree
@@ -274,20 +243,13 @@ class RationalFunction:
         return format_rational(self)
 
 
-def _approx_mult(p, z, tol=1e-7):
-    m = 0
-    for root, mult in roots(p):
-        if abs(root - z) <= tol * (1.0 + abs(z)):
-            m += mult
-    return m
-
-
 def _taylor_at(p, pt, nterms):
-    """First nterms coefficients of p(pt + t) as a polynomial in t."""
+    """First nterms coefficients of p(pt + t) as a polynomial in t: exact at
+    an exact point, complex at a float one (the poles `immerse` expands at)."""
     coeffs = []
     cur = p
     fact = 1
-    one = GaussianRational(1) if p.exact and is_exact(pt) else 1.0
+    one = GaussianRational(1) if is_exact(pt) else 1.0
     for k in range(nterms):
         coeffs.append(cur.eval(pt) * (one / fact))
         cur = cur.derivative()
@@ -380,13 +342,11 @@ def format_rational(r):
     return f"{format_poly(r.num)} over {format_poly(r.den)}"
 
 
-def parse_rational(text, exact=True):
+def parse_rational(text):
     """Parse 'NUM over DEN' or a bare polynomial."""
     parts = text.split(" over ")
     if len(parts) == 1:
-        return RationalFunction(parse_poly(parts[0], exact=exact))
+        return RationalFunction(parse_poly(parts[0]))
     if len(parts) != 2:
         raise ValueError(f"cannot parse rational function {text!r}")
-    num = parse_poly(parts[0], exact=exact)
-    den = parse_poly(parts[1], exact=exact)
-    return RationalFunction(num, den)
+    return RationalFunction(parse_poly(parts[0]), parse_poly(parts[1]))

@@ -19,8 +19,9 @@ SCHEMA_VERSION = 1
 
 def canonical_json(obj):
     """Sorted-keys JSON with a trailing newline; the only JSON writer used
-    for artifacts, so key order can never leak nondeterminism."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    for artifacts, so key order can never leak nondeterminism. A NaN or an
+    infinity raises ValueError: the output is always valid JSON."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False) + "\n"
 
 
 def config_hash(text):

@@ -1,8 +1,9 @@
 """Exact Gaussian-rational scalars and the shared scalar text grammar.
 
-Exact values are pairs of fractions.Fraction; approximate values are builtin
-complex. Mixed arithmetic demotes to complex. Floats never promote silently
-to exact: building a GaussianRational from a float raises.
+Every coefficient, puncture and sphere point is a GaussianRational: a pair
+of fractions.Fraction. Floats are never data. They are evaluation points
+and outputs only, so building a scalar from a float, or mixing one into
+exact arithmetic, raises.
 """
 
 from __future__ import annotations
@@ -41,16 +42,12 @@ class GaussianRational:
             return other
         if isinstance(other, (int, Fraction)):
             return GaussianRational(other)
-        if isinstance(other, (float, complex)):
-            return complex(other)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if isinstance(o, complex):
-            return complex(self) + o
         return GaussianRational(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
@@ -59,24 +56,18 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if isinstance(o, complex):
-            return complex(self) - o
         return GaussianRational(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if isinstance(o, complex):
-            return o - complex(self)
         return GaussianRational(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if isinstance(o, complex):
-            return complex(self) * o
         return GaussianRational(
             self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
         )
@@ -87,8 +78,6 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if isinstance(o, complex):
-            return complex(self) / o
         d = o.re * o.re + o.im * o.im
         if d == 0:
             raise ZeroDivisionError("division by zero scalar")
@@ -101,8 +90,6 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if isinstance(o, complex):
-            return o / complex(self)
         return o / self
 
     def __pow__(self, n):
@@ -163,7 +150,7 @@ class GaussianRational:
 
     @classmethod
     def parse(cls, text):
-        return parse_scalar(text, exact=True)
+        return parse_scalar(text)
 
 
 def is_exact(x):
@@ -171,7 +158,8 @@ def is_exact(x):
 
 
 def as_scalar(x):
-    """Coerce to GaussianRational (exact inputs) or complex (float inputs)."""
+    """Coerce an exact value or its text to GaussianRational; a float or
+    complex raises RequiresExactMode."""
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(x, GaussianRational):
@@ -179,7 +167,7 @@ def as_scalar(x):
     if isinstance(x, (int, Fraction)):
         return GaussianRational(x)
     if isinstance(x, (float, complex)):
-        return complex(x)
+        raise RequiresExactMode(f"{x!r} is a float; data must be exact Gaussian rationals")
     if isinstance(x, str):
         return parse_scalar(x)
     raise TypeError(f"not a scalar: {x!r}")
@@ -190,35 +178,23 @@ def to_complex(x):
 
 
 def conj(x):
-    if isinstance(x, GaussianRational):
-        return x.conjugate()
-    return complex(x).conjugate()
+    return x.conjugate()
 
 
 def format_scalar(x):
     """Canonical text form: 'a', 'bi', or 'a+bi' with rational a, b."""
-    if isinstance(x, GaussianRational):
-        re_, im_ = x.re, x.im
-        if im_ == 0:
-            return str(re_)
-        if re_ == 0:
-            return f"{im_}i"
-        sign = "+" if im_ >= 0 else "-"
-        return f"{re_}{sign}{abs(im_)}i"
-    z = complex(x)
-    if z.imag == 0:
-        return repr(z.real)
-    if z.real == 0:
-        return f"{z.imag!r}i"
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real!r}{sign}{abs(z.imag)!r}i"
+    x = as_scalar(x)
+    re_, im_ = x.re, x.im
+    if im_ == 0:
+        return str(re_)
+    if re_ == 0:
+        return f"{im_}i"
+    sign = "+" if im_ >= 0 else "-"
+    return f"{re_}{sign}{abs(im_)}i"
 
 
-def parse_scalar(text, exact=True):
-    """Parse 'a', 'bi', 'a+bi', 'a-bi' with rational parts; 'i' means 1i.
-
-    With exact=False returns a complex instead.
-    """
+def parse_scalar(text):
+    """Parse 'a', 'bi', 'a+bi', 'a-bi' with rational parts; 'i' means 1i."""
     s = text.strip()
     m = _TERM_RE.match(s)
     if not m or (m.group("re") is None and m.group("im") is None):
@@ -235,6 +211,4 @@ def parse_scalar(text, exact=True):
             im_part = Fraction(-1)
         else:
             im_part = Fraction(body)
-    if exact:
-        return GaussianRational(re_part, im_part)
-    return complex(float(re_part), float(im_part))
+    return GaussianRational(re_part, im_part)

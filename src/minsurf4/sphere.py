@@ -2,7 +2,8 @@
 
 Chordal normalization: |a,b| = |a-b| / (sqrt(1+|a|^2) sqrt(1+|b|^2)) and
 |a,inf| = 1/sqrt(1+|a|^2), so the maximal distance is 1 and antipodal pairs
-realize it.
+realize it. Finite points are exact Gaussian rationals, so equality,
+antipodes and RP^2 classes are exact; only the chordal distance is a float.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ import math
 import warnings
 
 from .errors import DomainError
-from .scalars import GaussianRational, as_scalar, format_scalar, is_exact, to_complex
+from .scalars import GaussianRational, as_scalar, format_scalar, to_complex
 
 
 class SpherePoint:
-    """A point of C union {infinity}; value is None exactly at infinity."""
+    """A point of C union {infinity}; value is None exactly at infinity, and
+    otherwise a GaussianRational (a float value raises RequiresExactMode)."""
 
     __slots__ = ("value",)
 
@@ -48,9 +50,6 @@ class SpherePoint:
     def is_infinity(self):
         return self.value is None
 
-    def is_exact_point(self):
-        return self.is_infinity or is_exact(self.value)
-
     def __complex__(self):
         if self.is_infinity:
             raise DomainError("infinity has no complex value")
@@ -69,9 +68,7 @@ class SpherePoint:
     def __hash__(self):
         if self.is_infinity:
             return hash("sphere-infinity")
-        if isinstance(self.value, GaussianRational):
-            return hash(self.value)
-        return hash(complex(self.value))
+        return hash(self.value)
 
     def sort_key(self):
         if self.is_infinity:
@@ -110,32 +107,19 @@ def chordal(a, b):
 
 
 def antipodal(p):
-    """The antipode: 0 <-> inf, otherwise -1/conj(p). Exactness is preserved."""
+    """The antipode: 0 <-> inf, otherwise -1/conj(p)."""
     p = SpherePoint.of(p)
     if p.is_infinity:
         return SpherePoint(GaussianRational(0))
     v = p.value
     if not v:
         return INFINITY
-    if isinstance(v, GaussianRational):
-        return SpherePoint(-(GaussianRational(1) / v.conjugate()))
-    return SpherePoint(-1.0 / v.conjugate())
-
-
-def _abs2(p):
-    """Squared modulus of a finite point; exact Fraction in exact mode."""
-    if isinstance(p.value, GaussianRational):
-        return p.value.abs2()
-    z = complex(p)
-    return z.real * z.real + z.imag * z.imag
+    return SpherePoint(-(GaussianRational(1) / v.conjugate()))
 
 
 def _in_upper_half(v):
     """arg in [0, pi): positive imaginary part, or positive real axis."""
-    if isinstance(v, GaussianRational):
-        return v.im > 0 or (v.im == 0 and v.re > 0)
-    z = complex(v)
-    return z.imag > 0 or (z.imag == 0 and z.real > 0)
+    return v.im > 0 or (v.im == 0 and v.re > 0)
 
 
 class RP2Point:
@@ -173,7 +157,7 @@ def _canonical_rep(p):
         return SpherePoint(GaussianRational(0))
     if not p.value:
         return SpherePoint(GaussianRational(0))
-    m2 = _abs2(p)
+    m2 = p.value.abs2()
     if m2 < 1:
         return p
     if m2 > 1:
@@ -181,59 +165,37 @@ def _canonical_rep(p):
     return p if _in_upper_half(p.value) else antipodal(p)
 
 
-def dedupe_points(points, tol=0.0):
-    """Collapse sphere points closer than tol in chordal distance.
-
-    tol = 0 uses structural equality, which is exact for exact points.
-    """
+def dedupe_points(points):
+    """The distinct sphere points among points, by exact equality, sorted."""
     out = []
     for p in sorted((SpherePoint.of(q) for q in points), key=SpherePoint.sort_key):
-        if tol == 0.0:
-            if any(p == q for q in out):
-                continue
-        else:
-            if any(chordal(p, q) <= tol for q in out):
-                continue
-        out.append(p)
+        if p not in out:
+            out.append(p)
     return out
 
 
-def missing_antipode(pts, tol=0.0):
+def missing_antipode(pts):
     """For points as returned by dedupe_points: the antipode of the first one
     whose antipode is not in the set, or None when the set is antipodally
     closed."""
     for p in pts:
         q = antipodal(p)
-        if tol == 0.0:
-            closed = any(q == r for r in pts)
-        else:
-            closed = any(chordal(q, r) <= tol for r in pts)
-        if not closed:
+        if q not in pts:
             return q
     return None
 
 
-def rp2_count(points, tol=0.0):
+def rp2_count(points):
     """Number of distinct RP^2 classes among the given sphere points.
 
     Warns when the set is not closed under the antipodal map, since omitted
     sets of maps descending to RP^2 must be antipodally closed.
     """
-    pts = dedupe_points(points, tol)
-    q = missing_antipode(pts, tol)
+    pts = dedupe_points(points)
+    q = missing_antipode(pts)
     if q is not None:
         warnings.warn(
             f"point set is not antipodally closed: missing {format_point(q)}",
             stacklevel=2,
         )
-    classes = []
-    for p in pts:
-        c = RP2Point(p)
-        if tol == 0.0:
-            if any(c == d for d in classes):
-                continue
-        else:
-            if any(chordal(c.rep, d.rep) <= tol for d in classes):
-                continue
-        classes.append(c)
-    return len(classes)
+    return len({RP2Point(p) for p in pts})

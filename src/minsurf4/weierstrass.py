@@ -22,13 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DegenerateFrame,
-    DomainError,
-    InvalidPath,
-    MultivaluedImmersion,
-    RequiresExactMode,
-)
+from .errors import DegenerateFrame, DomainError, InvalidPath, MultivaluedImmersion
 from .domains import Annulus, PuncturedPlane
 from .poly import clear_denominators, gcd_many, horner, roots, zi_mul
 from .rational import RationalFunction, _series_div, _taylor_at
@@ -40,7 +34,7 @@ HALF = GaussianRational("1/2")
 
 
 class WeierstrassData:
-    __slots__ = ("g1", "g2", "omega_hat", "exact")
+    __slots__ = ("g1", "g2", "omega_hat")
 
     def __init__(self, g1, g2, omega_hat):
         for r in (g1, g2, omega_hat):
@@ -51,7 +45,6 @@ class WeierstrassData:
         object.__setattr__(self, "g1", g1)
         object.__setattr__(self, "g2", g2)
         object.__setattr__(self, "omega_hat", omega_hat)
-        object.__setattr__(self, "exact", g1.exact and g2.exact and omega_hat.exact)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeierstrassData is immutable")
@@ -77,7 +70,7 @@ class PhiForms:
     built and watched failing.
     """
 
-    __slots__ = ("phi", "exact")
+    __slots__ = ("phi",)
 
     def __init__(self, phi):
         phi = tuple(phi)
@@ -89,7 +82,6 @@ class PhiForms:
         if all(p.is_zero() for p in phi):
             raise DomainError("all four forms vanish identically")
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "exact", all(p.exact for p in phi))
 
     def __setattr__(self, name, value):
         raise AttributeError("PhiForms is immutable")
@@ -118,7 +110,7 @@ def phis_from_data(w):
 
 def data_from_phis(p):
     phi1, phi2, phi3, phi4 = p.phi
-    i = GaussianRational(0, 1) if p.exact else 1j
+    i = GaussianRational(0, 1)
     omega_hat = phi1 - i * phi2
     if omega_hat.is_zero():
         raise DegenerateFrame("phi1 - i phi2 vanishes identically")
@@ -135,8 +127,6 @@ def check_conformality(p):
     sum_j N_j^2 prod_{i != j} D_i^2 vanishes coefficient by coefficient, which
     is tested in Python integers; no RationalFunction sum and no gcd is built.
     """
-    if not p.exact:
-        raise RequiresExactMode("conformality is an exact identity test")
     squares = []
     for phi in p.phi:
         if not phi.is_zero():
@@ -194,20 +184,10 @@ def check_regularity(p, domain):
     are exactly the roots of gcd of the four numerators; the zero form is the
     gcd identity element.
     """
-    if p.exact:
-        g = gcd_many([phi.num for phi in p.phi])
-        if g.degree <= 0:
-            return RegularityReport(True, [])
-        offenders = [z for z, _ in roots(g) if _inside(domain, z)]
-        return RegularityReport(not offenders, offenders)
-    nonzero = [phi for phi in p.phi if not phi.is_zero()]
-    candidates = [z for z, _ in roots(nonzero[0].num)]
-    offenders = [
-        z
-        for z in candidates
-        if _inside(domain, z)
-        and all(abs(phi.eval_at(z)) < 1e-8 for phi in nonzero)
-    ]
+    g = gcd_many([phi.num for phi in p.phi])
+    if g.degree <= 0:
+        return RegularityReport(True, [])
+    offenders = [z for z, _ in roots(g) if _inside(domain, z)]
     return RegularityReport(not offenders, offenders)
 
 
@@ -246,23 +226,10 @@ class PeriodReport:
             out.append(
                 {
                     "puncture": label,
-                    "residues": [_scalar_str(r) for r in res],
+                    "residues": [str(r) for r in res],
                 }
             )
         return {"per_puncture": out, "well_defined": self.well_defined}
-
-
-def _scalar_str(x):
-    if isinstance(x, GaussianRational):
-        return str(x)
-    z = complex(x)
-    return f"{z.real!r}{z.imag:+}j"
-
-
-def _residue_is_real(r, tol=1e-12):
-    if isinstance(r, GaussianRational):
-        return r.im == 0
-    return abs(complex(r).imag) <= tol
 
 
 def period_residues(p, domain):
@@ -274,7 +241,7 @@ def period_residues(p, domain):
     ok = True
     for q in domain.punctures:
         res = tuple(phi.residue_at(q) for phi in p.phi)
-        ok = ok and all(_residue_is_real(r) for r in res)
+        ok = ok and all(r.im == 0 for r in res)
         rows.append((format_point(SpherePoint(q)), res))
     return PeriodReport(rows, ok)
 
@@ -283,7 +250,7 @@ def period_residues(p, domain):
 
 
 def _primitive(phi, poles):
-    """Evaluator of P with Re P a primitive of Re(phi dz), for exact phi whose
+    """Evaluator of P with Re P a primitive of Re(phi dz), for phi whose
     denominator has the roots `poles`, as (pole, multiplicity) from roots.
 
     phi is its polynomial part (from divmod) plus, at each pole a of order m,
@@ -320,7 +287,7 @@ def _primitive(phi, poles):
 
 def immerse(p, domain, base, targets):
     """X(target) = Re(P(target) - P(base)) for the closed-form primitives P of
-    the exact forms, evaluated on one array of targets; a list of 4-tuples.
+    the forms, evaluated on one array of targets; a list of 4-tuples.
 
     A nonreal residue at a listed puncture or at any pole of the forms raises
     MultivaluedImmersion, since Re int is then path-dependent.
@@ -330,8 +297,6 @@ def immerse(p, domain, base, targets):
 
 def _immerse(p, domain, base, targets, poles):
     """immerse, given roots(phi.den) for each form phi in `poles`."""
-    if not p.exact:
-        raise RequiresExactMode("closed-form primitives need exact forms")
     if isinstance(domain, PuncturedPlane) and domain.punctures:
         if not period_residues(p, domain).well_defined:
             raise MultivaluedImmersion("nonreal residues make Re int path-dependent")

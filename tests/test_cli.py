@@ -102,6 +102,67 @@ def test_lagrangian_report(capsys):
     assert res["corollary_bound"]["bound_holds"] is True
 
 
+def _lagrangian_copy(tmp_path, **block):
+    """A copy of the shipped Lagrangian config with block entries replaced."""
+    cfg = json.loads((CONFIG_DIR / "lagrangian-parabola.json").read_text())
+    cfg["lagrangian"].update(block)
+    path = tmp_path / "lagrangian.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_lagrangian_bad_box_is_a_config_error(tmp_path, capsys):
+    code, out, err = _run(["lagrangian", "--config", _lagrangian_copy(tmp_path, box="wide")], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: lagrangian box must be a number\n"
+
+
+def test_lagrangian_bad_probe_is_a_config_error(tmp_path, capsys):
+    code, out, err = _run(["lagrangian", "--config", _lagrangian_copy(tmp_path, probes=["zz"])], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: lagrangian probe: cannot parse scalar 'zz'\n"
+
+
+def test_lagrangian_overflowing_probe_is_an_error_entry(tmp_path, capsys):
+    # lambda^2 = |z|^2 + 1 at z = 10^200 is past the float range, and 10^400
+    # is past it already as a point; the other probe is still reported
+    big, huge = "1" + "0" * 200, "1" + "0" * 400
+    code, out, _ = _run(["lagrangian", "--config", _lagrangian_copy(tmp_path, probes=[big, huge, "0"])], capsys)
+    assert code == 0
+    probes = json.loads(out)["results"]["probes"]
+    assert probes[big] == {"error": "lambda^2 overflows a float at z = (1e+200+0j)"}
+    assert probes[huge] == {"error": f"z overflows a float at z = {huge}"}
+    assert probes["0"] == {"K": -2.0, "lambda2": 1.0}
+
+
+def test_lagrangian_bound_violation_exits_2(monkeypatch, capsys):
+    import minsurf4.cli as cli
+    from minsurf4.lagrangian import CorollaryBoundReport
+
+    monkeypatch.setattr(
+        cli, "corollary_bound_check", lambda spec, domain: CorollaryBoundReport(True, "complete", q=4, bound_holds=False)
+    )
+    code, out, _ = _run(["lagrangian", "--config", str(CONFIG_DIR / "lagrangian-parabola.json")], capsys)
+    assert code == 2
+    assert json.loads(out)["results"]["corollary_bound"]["bound_holds"] is False
+
+
+def test_falsify_draw_cap_exits_1(monkeypatch, capsys):
+    # every draw has an incomplete metric: omega_hat = 1/(z (z - 1) (z - 2))
+    # has sigma(inf) = 3 - 1 - 2 = 0 > -1 with the factor (z, 1)
+    import minsurf4.gaussmap as gaussmap
+    from minsurf4.domains import PuncturedPlane
+    from minsurf4.metric import MetricSpec
+    from minsurf4.rational import RationalFunction
+
+    z = RationalFunction.z()
+    spec = MetricSpec([(z, 1)], 1 / (z * (z - 1) * (z - 2)))
+    monkeypatch.setattr(gaussmap, "_draw_instance", lambda rng, bounds: (spec, PuncturedPlane([0, 1, 2])))
+    code, out, err = _run(["falsify", "--n", "2"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: falsify instance 0: no complete metric in 200 draws\n"
+
+
 def test_nonorientable_report_and_mesh(tmp_path, capsys):
     out_dir = tmp_path / "artifacts"
     code, out, _ = _run(

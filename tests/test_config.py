@@ -142,7 +142,7 @@ def test_weierstrass_validation():
 
 def test_lagrangian_validation():
     cfg = _cfg({"lagrangian": {"F1": "(1)*z", "F2": "(2)*z"}})
-    assert cfg.lagrangian.beta == 0.0
+    assert cfg.lagrangian["spec"].beta == 0.0
     with pytest.raises(ConfigError):
         _cfg({"lagrangian": {"F1": "(1)*z", "F2": "(2)*z", "beta": "fast"}})
     with pytest.raises(ConfigError):

@@ -1,4 +1,4 @@
-"""Domains, boundary bookkeeping, and the deterministic sampler."""
+"""Domains, boundary bookkeeping, and the string-keyed RNG."""
 
 import pytest
 
@@ -9,9 +9,8 @@ from minsurf4.domains import (
     PuncturedPlane,
     boundary_points,
     derive_rng,
-    sample_grid,
 )
-from minsurf4.errors import DomainError, InfeasibleSampling
+from minsurf4.errors import DomainError, RequiresExactMode
 from minsurf4.scalars import GaussianRational, to_complex
 
 
@@ -27,7 +26,8 @@ def test_punctured_plane_boundary():
 def test_punctures_must_be_distinct():
     with pytest.raises(DomainError):
         PuncturedPlane([GaussianRational(1), GaussianRational(1)])
-    with pytest.raises(DomainError):
+    # float punctures are refused outright, so distinctness is exact
+    with pytest.raises(RequiresExactMode):
         PuncturedPlane([1.0, 1.0 + 1e-9])
 
 
@@ -56,32 +56,3 @@ def test_derive_rng_stability():
     b = derive_rng(0, 3, "probe").random()
     assert a == b
     assert derive_rng(0, 3, "probe").random() != derive_rng(0, 4, "probe").random()
-
-
-def test_sample_grid_deterministic():
-    d = PuncturedPlane([GaussianRational(0)])
-    xs = sample_grid(d, 25, seed=5)
-    ys = sample_grid(d, 25, seed=5)
-    assert xs == ys
-    assert len(xs) == 25
-    zs = sample_grid(d, 25, seed=6)
-    assert xs != zs
-
-
-def test_sample_grid_respects_exclusion():
-    d = PuncturedPlane([GaussianRational(0), GaussianRational(1)])
-    for z in sample_grid(d, 200, exclusion_radius=0.05, seed=1):
-        for p in d.punctures:
-            assert abs(z - to_complex(p)) > 0.05
-
-
-def test_sample_grid_annulus():
-    a = Annulus(3.0)
-    for z in sample_grid(a, 100, seed=2):
-        assert 1.0 / 3.0 < abs(z) < 3.0
-
-
-def test_sample_grid_infeasible():
-    d = PuncturedPlane([GaussianRational(0)])
-    with pytest.raises(InfeasibleSampling):
-        sample_grid(d, 10, exclusion_radius=1e6, seed=0)

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from minsurf4 import gaussmap
 from minsurf4.domains import PuncturedPlane, derive_rng
-from minsurf4.errors import ConstantMapError, DomainError, FlatSurfaceError
+from minsurf4.errors import ConstantMapError, DomainError, FlatSurfaceError, InfeasibleSampling
 from minsurf4.gaussmap import (
     FalsifyBounds,
     exceptional_values,
@@ -238,6 +239,33 @@ def test_falsify_require_complete():
     summary, rows = falsify(0, 40, bounds=FalsifyBounds(require_complete=True))
     assert summary["complete"] == 40
     assert summary["counterexamples"] == 0
+
+
+def _never_complete(draws):
+    """A stand-in for _draw_instance whose metric is never complete: omega_hat
+    = 1/prod(z - a) over five punctures has sigma(inf) = 5 - 2 = 3 > -1."""
+    punctures = [GaussianRational(a) for a in range(5)]
+    omega = _one()
+    for a in punctures:
+        omega = omega / (_z() - a)
+
+    def draw(rng, bounds):
+        draws.append(rng)
+        return MetricSpec([(_z(), 0)], omega), PuncturedPlane(punctures)
+
+    return draw
+
+
+def test_falsify_draw_cap_raises(monkeypatch):
+    draws = []
+    monkeypatch.setattr(gaussmap, "_draw_instance", _never_complete(draws))
+    with pytest.raises(InfeasibleSampling, match="instance 0"):
+        falsify(5, 3, bounds=FalsifyBounds(require_complete=True))
+    assert len(draws) == 200
+    # without require_complete the first draw is kept, complete or not
+    draws.clear()
+    summary, _ = falsify(5, 3)
+    assert summary["complete"] == 0 and len(draws) == 3
 
 
 def test_falsify_incomplete_only_bounds():

@@ -1,12 +1,12 @@
 """Conformal metrics: factor evaluation, boundary exponents, completeness,
-path lengths, and the finite-difference curvature oracle."""
+and the finite-difference curvature oracle."""
 
 import math
 
 import pytest
 
 from minsurf4.domains import Annulus, PuncturedPlane
-from minsurf4.errors import DomainError, ExponentUndefined, InvalidPath
+from minsurf4.errors import DomainError, ExponentUndefined
 from minsurf4.metric import (
     MetricSpec,
     boundary_exponent,
@@ -14,7 +14,6 @@ from minsurf4.metric import (
     exponent_at,
     gauss_curvature_numeric,
     is_complete,
-    path_length,
 )
 from minsurf4.rational import INF, RationalFunction
 from minsurf4.scalars import GaussianRational
@@ -125,48 +124,6 @@ def test_omega_scaling_leaves_exponents_alone():
     scaled = MetricSpec(spec.factors, spec.omega_hat * c)
     for b in domain.boundary_points():
         assert boundary_exponent(spec, b) == boundary_exponent(scaled, b)
-
-
-def test_path_length_flat_unit():
-    spec = MetricSpec([], _one())
-    assert path_length(spec, [0.0, 1.0]) == pytest.approx(1.0, abs=1e-10)
-    assert path_length(spec, [0.0, 1.0, 1.0 + 1j]) == pytest.approx(2.0, abs=1e-10)
-
-
-def test_path_into_puncture_diverges():
-    spec, domain = _family(4, [1, 1])
-    # sigma = -1 at the puncture z = 1: radial approach has infinite length
-    assert path_length(spec, [GaussianRational(0), GaussianRational(1)]) == math.inf
-
-
-def test_tail_to_infinity_converges_when_incomplete():
-    # p = 5, m = (1, 1): sigma at infinity is 0, the tail has finite length
-    spec, domain = _family(5, [1, 1])
-    assert exponent_at(spec, INF) == 0
-    length = path_length(spec, [GaussianRational(0, 5), INFINITY])
-    assert math.isfinite(length)
-    assert length > 0
-
-
-def test_tail_to_infinity_diverges_when_complete():
-    spec, domain = _family(4, [1, 1])
-    assert path_length(spec, [GaussianRational(0, 5), INFINITY]) == math.inf
-
-
-def test_path_length_scales_with_omega():
-    spec = MetricSpec([], _one())
-    scaled = MetricSpec([], RationalFunction.constant(GaussianRational(3, 4)))
-    base = path_length(spec, [0.0, 1.0 + 1j])
-    longer = path_length(scaled, [0.0, 1.0 + 1j])
-    assert abs(longer - 5.0 * base) <= 1e-10 * longer
-
-
-def test_path_validation():
-    spec = MetricSpec([], _one())
-    with pytest.raises(InvalidPath):
-        path_length(spec, [1.0])
-    with pytest.raises(InvalidPath):
-        path_length(spec, [0.0, INF, 1.0])
 
 
 def test_exponent_slope_fit():

@@ -13,7 +13,6 @@ from minsurf4.errors import (
     DomainError,
     KSearchExhausted,
     PeriodObstruction,
-    StageFailure,
 )
 from minsurf4.laurent import LaurentPoly, parse_laurent
 from minsurf4.nonorientable import (
@@ -548,14 +547,6 @@ def test_assemble_report_conformality_gate():
     rep = assemble_report(data, f, 3, 4.0, check_conformality=False, samples=100)
     assert rep.passed
     assert any(s.name == "conformality" and s.status == "skipped" for s in rep.stages)
-
-
-def test_assemble_report_raise_on_failure():
-    data = _shipped_data()
-    with pytest.raises(StageFailure):
-        assemble_report(
-            data, [GaussianRational(1)], 3, 4.0, samples=100, raise_on_failure=True
-        )
 
 
 def test_constant_imaginary_component_pulls_back_symmetric():

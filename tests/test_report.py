@@ -26,6 +26,13 @@ def test_canonical_json_is_sorted_and_newline_terminated():
     assert canonical_json({"x": 1, "y": 2}) == canonical_json({"y": 2, "x": 1})
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_canonical_json_refuses_non_finite_floats(value):
+    # Infinity and NaN are not JSON; an artifact must stay parsable everywhere
+    with pytest.raises(ValueError):
+        canonical_json({"lambda2": value})
+
+
 def test_config_hash_matches_sha256():
     text = '{"seed": 0}'
     assert config_hash(text) == hashlib.sha256(text.encode()).hexdigest()

@@ -1,10 +1,15 @@
-"""Exact Gaussian-rational scalars: field arithmetic, parsing, coercions."""
+"""Exact Gaussian-rational scalars: field arithmetic, parsing, coercions,
+and the refusal of float data."""
 
 import math
 from fractions import Fraction
 
 import pytest
 
+from minsurf4.domains import Annulus, PuncturedPlane
+from minsurf4.errors import RequiresExactMode
+from minsurf4.poly import Polynomial
+from minsurf4.rational import RationalFunction
 from minsurf4.scalars import (
     GaussianRational,
     as_scalar,
@@ -15,6 +20,7 @@ from minsurf4.scalars import (
     to_complex,
 )
 from minsurf4.domains import derive_rng
+from minsurf4.sphere import SpherePoint
 
 
 def _random_gaussian(rng, bound=9):
@@ -93,12 +99,6 @@ def test_parse_examples():
         parse_scalar("nonsense")
 
 
-def test_parse_inexact_mode():
-    v = parse_scalar("3/2", exact=False)
-    assert not is_exact(v)
-    assert to_complex(v) == 1.5 + 0j
-
-
 def test_coercions():
     assert is_exact(GaussianRational(1))
     assert is_exact(3)
@@ -109,6 +109,25 @@ def test_coercions():
     assert to_complex(GaussianRational(1, 2)) == 1 + 2j
     assert conj(GaussianRational(1, 2)) == GaussianRational(1, -2)
     assert conj(1 + 2j) == 1 - 2j
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Polynomial([0.5]),
+        lambda: Polynomial([1j]),
+        lambda: PuncturedPlane([1.0]),
+        lambda: Annulus(2.0, [1.5]),
+        lambda: SpherePoint(0.5),
+        lambda: (1 / RationalFunction.z()).order_at(0.0),
+        lambda: (1 / RationalFunction.z()).residue_at(0.0),
+    ],
+    ids=["poly-float", "poly-complex", "puncture", "annulus-puncture", "sphere-point", "order_at", "residue_at"],
+)
+def test_float_data_is_refused(build):
+    # floats are evaluation points and outputs only, never data
+    with pytest.raises(RequiresExactMode):
+        build()
 
 
 @pytest.mark.parametrize("flag", [True, False])

@@ -110,3 +110,27 @@ def test_every_module_level_name_is_referenced():
     assert not unused, "module-level names nothing references: " + ", ".join(
         f"{module}:{name}" for module, name in unused
     )
+
+
+def second_data_model(source):
+    """(line, mark) for each read of an attribute named `exact` and each
+    module-level APPROX_TOL or CLUSTER_TOL: the marks of an approximate data
+    model beside the exact one."""
+    tree = ast.parse(source)
+    reads = [(node.lineno, ".exact") for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "exact"]
+    tols = [(stmt.lineno, name) for name, stmt in defined_names(tree).items() if name in ("APPROX_TOL", "CLUSTER_TOL")]
+    return sorted(reads + tols)
+
+
+def test_the_guard_sees_a_second_data_model():
+    source = "APPROX_TOL = 1e-7\n\ndef f(p, exact):\n    return p.exact or exact\n"
+    assert second_data_model(source) == [(1, "APPROX_TOL"), (4, ".exact")]
+
+
+def test_one_exact_data_model():
+    found = [
+        f"{path.name}:{line} {mark}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, mark in second_data_model(path.read_text(encoding="utf-8"))
+    ]
+    assert not found, "float coefficient data must not come back: " + ", ".join(found)

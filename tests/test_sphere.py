@@ -113,9 +113,6 @@ def test_dedupe_points():
     pts = [GaussianRational(1), GaussianRational(1), INFINITY, GaussianRational(2)]
     out = dedupe_points(pts)
     assert len(out) == 3
-    # approximate dedupe collapses nearby floats
-    out = dedupe_points([0.0, 1e-12, 1.0], tol=1e-6)
-    assert len(out) == 2
 
 
 def test_unit_circle_tie_break():
