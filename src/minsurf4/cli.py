@@ -1,15 +1,27 @@
 """Command-line front end.
 
-Exit codes: 0 verified or hypothesis-not-applicable, 1 usage/config error,
-2 negative verdict: a COUNTEREXAMPLE flag (which no correct build can
-produce), a Lagrangian surface over the bound of 3 omitted values, or a
-failed stage of the nonorientable pipeline. All artifacts are
-deterministic for fixed config + seed.
+Each command returns its report, its extra files and whether its verdict
+is negative; `main` alone writes them and maps the outcome to an exit code:
+
+  0  a verdict was reached (verified, equality, hypothesis-failed,
+     not-applicable, a Lagrangian surface within the bound, a passed
+     nonorientable pipeline), and `--help`;
+  1  a usage error (argparse's included), a config error, any other
+     MinSurfError or an artifact that cannot be written; nothing is
+     written to stdout;
+  2  a negative verdict: a COUNTEREXAMPLE flag (which no correct build can
+     produce), a Lagrangian surface over the bound of 3 omitted values, or a
+     failed stage of the nonorientable pipeline.
+
+stdout carries the report as JSON, or falsify's rows with `--format csv`;
+`--out DIR` writes the report and the extra files into DIR. All artifacts
+are deterministic for fixed config + seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 
@@ -18,15 +30,16 @@ from .domains import PuncturedPlane, derive_rng
 from .errors import MinSurfError
 from .gaussmap import FalsifyBounds, exceptional_values, falsify, verify_main_inequality
 from .lagrangian import (
+    STENCIL_H,
     corollary_bound_check,
     gauss_components,
     lagrangian_minimality_check,
     metric_curvature,
     nondegenerate,
 )
-from .meshing import annulus_grid, export_mesh, mesh_hash, mesh_text, plane_grid
+from .meshing import annulus_grid, export_mesh, mesh_text, plane_grid
 from .metric import MetricSpec, is_complete
-from .nonorientable import assemble_report, build_f
+from .nonorientable import assemble_report
 from .poly import Polynomial
 from .rational import RationalFunction, format_rational
 from .report import (
@@ -58,15 +71,15 @@ FALSIFY_FIELDS = [
 ]
 
 
-def _emit(args, report, extra_files=()):
-    text = canonical_json(jsonable(report))
-    if getattr(args, "format", "json") == "json":
-        sys.stdout.write(text)
+def _emit(args, report, extra_files):
+    """With --out, write every file; then `<command>.<format>` to stdout, so
+    a failed write leaves stdout empty."""
+    command = report["command"]
+    files = {f"{command}.json": canonical_json(jsonable(report)), **dict(extra_files)}
     if args.out:
-        path = os.path.join(args.out, f"{report['command']}.json")
-        write_text_atomic(path, text)
-        for name, content in extra_files:
+        for name, content in files.items():
             write_text_atomic(os.path.join(args.out, name), content)
+    sys.stdout.write(files[f"{command}.{getattr(args, 'format', 'json')}"])
 
 
 def _verdict(rep):
@@ -97,8 +110,7 @@ def cmd_verify_main(args):
         cfg_hash=config_hash(cfg.raw_text),
         tolerances={"exact": True},
     )
-    _emit(args, report)
-    return 2 if verdict == "COUNTEREXAMPLE" else 0
+    return report, [], verdict == "COUNTEREXAMPLE"
 
 
 def _gen_example_config(p, m):
@@ -148,15 +160,13 @@ def cmd_gen_example(args):
         cfg_hash=config_hash(canonical_json(raw)),
         tolerances={"exact": True},
     )
-    _emit(args, report)
-    return 2 if results["verdict"] == "COUNTEREXAMPLE" else 0
+    return report, [], results["verdict"] == "COUNTEREXAMPLE"
 
 
 def cmd_falsify(args):
     bounds = FalsifyBounds(require_complete=not args.allow_incomplete)
     summary, rows = falsify(args.seed, args.n, bounds=bounds)
-    row_dicts = [r.to_dict() for r in rows]
-    csv_text = rows_to_csv(row_dicts, FALSIFY_FIELDS)
+    csv_text = rows_to_csv([r.to_dict() for r in rows], FALSIFY_FIELDS)
     report = build_report(
         "falsify",
         {"n": args.n, "seed": args.seed, "require_complete": not args.allow_incomplete},
@@ -164,15 +174,7 @@ def cmd_falsify(args):
         cfg_hash=config_hash(f"falsify:{args.seed}:{args.n}:{not args.allow_incomplete}"),
         tolerances={"exact": True},
     )
-    if args.format == "csv":
-        sys.stdout.write(csv_text)
-        if args.out:
-            text = canonical_json(jsonable(report))
-            write_text_atomic(os.path.join(args.out, "falsify.json"), text)
-            write_text_atomic(os.path.join(args.out, "falsify.csv"), csv_text)
-    else:
-        _emit(args, report, extra_files=[("falsify.csv", csv_text)])
-    return 2 if summary["counterexamples"] else 0
+    return report, [("falsify.csv", csv_text)], summary["counterexamples"] > 0
 
 
 def cmd_lagrangian(args):
@@ -222,32 +224,26 @@ def cmd_lagrangian(args):
         cfg.raw,
         results,
         cfg_hash=config_hash(cfg.raw_text),
-        tolerances={"stencil": 1e-3},
+        tolerances={"stencil": STENCIL_H},
     )
-    _emit(args, report)
-    return 2 if corollary is not None and corollary["bound_holds"] is False else 0
+    return report, [], corollary is not None and corollary["bound_holds"] is False
 
 
 def cmd_nonorientable(args):
     cfg = load_config(args.config)
     block = cfg.need("nonorientable")
     seed = args.seed if args.seed is not None else cfg.seed
-    f = build_f(block["b"])
     rep = assemble_report(
         block["data"],
-        f,
+        block["b"],
         block["k"],
         block["R"],
-        check_conformality=not args.no_conformality,
         declared_omitted=block["declared_omitted"],
         samples=block["samples"],
         seed=seed,
         slack=block["slack"],
         mesh_params=block["mesh"],
     )
-    extra = []
-    if rep.mesh is not None and args.out:
-        extra.append(("moebius.mesh", mesh_text(rep.mesh)))
     report = build_report(
         "nonorientable",
         cfg.raw,
@@ -255,8 +251,8 @@ def cmd_nonorientable(args):
         cfg_hash=config_hash(cfg.raw_text),
         tolerances={"slack": block["slack"]},
     )
-    _emit(args, report, extra_files=extra)
-    return 0 if rep.passed else 2
+    extra = [] if rep.mesh is None else [("moebius.mesh", mesh_text(rep.mesh))]
+    return report, extra, not rep.passed
 
 
 def cmd_mesh(args):
@@ -269,25 +265,16 @@ def cmd_mesh(args):
         raise ConfigError("weierstrass data is not conformal")
     grid_cfg = mesh_cfg["grid"]
     if grid_cfg["kind"] == "plane":
-        grid = plane_grid(
-            tuple(float(v) for v in grid_cfg["x"]),
-            tuple(float(v) for v in grid_cfg["y"]),
-            grid_cfg["nx"],
-            grid_cfg["ny"],
-        )
+        grid = plane_grid(grid_cfg["x"], grid_cfg["y"], grid_cfg["nx"], grid_cfg["ny"])
     else:
-        grid = annulus_grid(
-            float(grid_cfg["r"][0]),
-            float(grid_cfg["r"][1]),
-            grid_cfg["n_r"],
-            grid_cfg["n_theta"],
-        )
+        grid = annulus_grid(*grid_cfg["r"], grid_cfg["n_r"], grid_cfg["n_theta"])
     base = parse_scalar(mesh_cfg["base"])
     mesh = export_mesh(phis, domain, grid, base)
+    text = mesh_text(mesh)
     results = {
         "vertices": len(mesh.vertices),
         "faces": len(mesh.faces),
-        "mesh_sha256": mesh_hash(mesh),
+        "mesh_sha256": hashlib.sha256(text.encode("ascii")).hexdigest(),
         "regular": check_regularity(phis, domain).regular,
         "periods_well_defined": period_residues(domain=domain, p=phis).well_defined
         if isinstance(domain, PuncturedPlane)
@@ -300,21 +287,12 @@ def cmd_mesh(args):
         cfg_hash=config_hash(cfg.raw_text),
         tolerances={},
     )
-    extra = []
-    if args.out:
-        extra.append((mesh_cfg["filename"], mesh_text(mesh)))
-    _emit(args, report, extra_files=extra)
-    return 0
+    return report, [(mesh_cfg["filename"], text)], False
 
 
-def _add_common(sub, config_required=True):
-    if config_required:
-        sub.add_argument("--config", required=True, help="path to the JSON run config")
-    sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sub.add_argument("--out", default=None, help="directory for report artifacts")
-    sub.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="stdout format"
-    )
+_CONFIG = ("--config", dict(required=True, help="path to the JSON run config"))
+_SEED = ("--seed", dict(type=int, default=None, help="override the config seed"))
+_OUT = ("--out", dict(default=None, help="directory for report artifacts"))
 
 
 def build_parser():
@@ -325,57 +303,56 @@ def build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("verify-main", help="check the exceptional-value inequality")
-    _add_common(sub)
-    sub.set_defaults(fn=cmd_verify_main)
+    def command(name, fn, help, *options):
+        sub = subs.add_parser(name, help=help)
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(fn=fn)
 
-    sub = subs.add_parser("gen-example", help="emit a sharpness-family example")
-    sub.add_argument("--p", type=int, required=True, help="sphere boundary point count")
-    sub.add_argument("--m", default="", help="comma-separated factor weights")
-    _add_common(sub, config_required=False)
-    sub.set_defaults(fn=cmd_gen_example)
-
-    sub = subs.add_parser("falsify", help="random search for inequality violations")
-    sub.add_argument("--n", type=int, default=1000, help="instance count")
-    sub.add_argument(
-        "--allow-incomplete",
-        action="store_true",
-        help="keep instances whose metric is incomplete instead of redrawing",
+    command("verify-main", cmd_verify_main, "check the exceptional-value inequality", _CONFIG, _OUT)
+    command(
+        "gen-example",
+        cmd_gen_example,
+        "emit a sharpness-family example",
+        ("--p", dict(type=int, required=True, help="sphere boundary point count")),
+        ("--m", dict(default="", help="comma-separated factor weights")),
+        _OUT,
     )
-    _add_common(sub, config_required=False)
-    sub.set_defaults(fn=cmd_falsify)
-    sub.set_defaults(seed=0)
-
-    sub = subs.add_parser("lagrangian", help="minimal-Lagrangian pipeline checks")
-    _add_common(sub)
-    sub.set_defaults(fn=cmd_lagrangian)
-
-    sub = subs.add_parser("nonorientable", help="Moebius-strip pipeline")
-    sub.add_argument(
-        "--no-conformality",
-        action="store_true",
-        help="accept datasets whose truncations are not exactly conformal",
+    command(
+        "falsify",
+        cmd_falsify,
+        "random search for inequality violations",
+        ("--n", dict(type=int, default=1000, help="instance count")),
+        (
+            "--allow-incomplete",
+            dict(
+                action="store_true",
+                help="keep instances whose metric is incomplete instead of redrawing",
+            ),
+        ),
+        ("--seed", dict(type=int, default=0, help="seed of the instance draws")),
+        _OUT,
+        ("--format", dict(choices=("json", "csv"), default="json", help="stdout format")),
     )
-    _add_common(sub)
-    sub.set_defaults(fn=cmd_nonorientable)
-
-    sub = subs.add_parser("mesh", help="export an immersed surface mesh")
-    _add_common(sub)
-    sub.set_defaults(fn=cmd_mesh)
+    command("lagrangian", cmd_lagrangian, "minimal-Lagrangian pipeline checks", _CONFIG, _SEED, _OUT)
+    command("nonorientable", cmd_nonorientable, "Moebius-strip pipeline", _CONFIG, _SEED, _OUT)
+    command("mesh", cmd_mesh, "export an immersed surface mesh", _CONFIG, _OUT)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except ConfigError as e:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 0 after --help and 2 on a usage error
+        return 0 if e.code == 0 else 1
+    try:
+        report, extra_files, negative = args.fn(args)
+        _emit(args, report, extra_files)
+    except (MinSurfError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except MinSurfError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    return 2 if negative else 0
 
 
 if __name__ == "__main__":

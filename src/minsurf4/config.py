@@ -3,10 +3,10 @@
 Scalars, polynomials, rational functions, and Laurent polynomials appear as
 strings in the grammars of `parse_scalar`, `parse_poly`, `parse_rational`,
 and `parse_laurent`, so rational data stays exact through the file format.
-Floats are accepted only where a quantity is genuinely real-valued (R, beta,
-box, slack), and must be finite there. Every section lists the keys it reads
-and refuses any other, so a misspelt or retired key is an error rather than
-silently ignored; integer fields refuse booleans.
+Numbers are accepted only where a quantity is genuinely real-valued (R, beta,
+box, slack, mesh grid ranges), and must be finite there. Every section lists
+the keys it reads and refuses any other, so a misspelt or retired key is an
+error rather than silently ignored; integer and real fields refuse booleans.
 """
 
 from __future__ import annotations
@@ -49,13 +49,17 @@ def _integer(value, where, least):
     return value
 
 
-def _positive(value, where):
+def _real(value, where, positive):
+    """value as a finite float, > 0 if positive; JSON booleans and strings
+    are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number")
     try:
         out = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number") from None
-    if not (out > 0.0 and math.isfinite(out)):
-        raise ConfigError(f"{where} must be a finite positive number")
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out) or (positive and not out > 0.0):
+        raise ConfigError(f"{where} must be a finite {'positive ' if positive else ''}number")
     return out
 
 
@@ -72,7 +76,7 @@ def parse_domain(block):
     if kind == "punctured-plane":
         return PuncturedPlane(pts)
     if kind == "annulus":
-        return Annulus(_positive(_require(block, "R", "domain"), "domain R"), pts)
+        return Annulus(_real(_require(block, "R", "domain"), "domain R", positive=True), pts)
     raise ConfigError(f"unknown domain kind {kind!r}")
 
 
@@ -117,11 +121,7 @@ def parse_lagrangian(block):
         f2 = parse_rational(str(_require(block, "F2", "lagrangian")))
     except ValueError as e:
         raise ConfigError(f"lagrangian pair: {e}") from None
-    beta = block.get("beta", 0.0)
-    try:
-        beta = float(beta)
-    except (TypeError, ValueError):
-        raise ConfigError("lagrangian beta must be a real number") from None
+    beta = _real(block.get("beta", 0.0), "lagrangian beta", positive=False)
     probes_raw = block.get("probes", ["0"])
     if not isinstance(probes_raw, list):
         raise ConfigError("lagrangian probes must be a list")
@@ -133,7 +133,7 @@ def parse_lagrangian(block):
         "spec": LagrangianSpec.from_pair(HolomorphicPair(f1, f2), beta=beta),
         "probes": probes,
         "samples": _integer(block.get("samples", 40), "lagrangian samples", 1),
-        "box": _positive(block.get("box", 2.0), "lagrangian box"),
+        "box": _real(block.get("box", 2.0), "lagrangian box", positive=True),
     }
 
 
@@ -162,7 +162,7 @@ def parse_nonorientable(block):
     except ValueError as e:
         raise ConfigError(f"nonorientable b: {e}") from None
     k = _integer(_require(block, "k", "nonorientable"), "nonorientable k", 1)
-    R = _positive(_require(block, "R", "nonorientable"), "nonorientable R")
+    R = _real(_require(block, "R", "nonorientable"), "nonorientable R", positive=True)
     if not R > 1.0:
         raise ConfigError("nonorientable R must exceed 1")
     declared = block.get("declared_omitted")
@@ -179,7 +179,7 @@ def parse_nonorientable(block):
         "R": R,
         "declared_omitted": declared,
         "samples": _integer(block.get("samples", 1000), "nonorientable samples", 1),
-        "slack": _positive(block.get("slack", 1e-12), "nonorientable slack"),
+        "slack": _real(block.get("slack", 1e-12), "nonorientable slack", positive=True),
         "mesh": block.get("mesh"),
     }
     if out["mesh"] is not None:
@@ -200,19 +200,17 @@ def parse_mesh(block):
     if kind not in _GRID_KEYS:
         raise ConfigError(f"unknown mesh grid kind {kind!r}")
     _as_mapping(grid, f"{kind} mesh grid", ("kind",) + _GRID_KEYS[kind])
-    if kind == "plane":
-        for key in ("x", "y"):
-            rng = _require(grid, key, "mesh grid")
-            if not (isinstance(rng, list) and len(rng) == 2):
+    grid = dict(grid)
+    for key in _GRID_KEYS[kind]:
+        value = _require(grid, key, "mesh grid")
+        if key in ("x", "y", "r"):
+            if not (isinstance(value, list) and len(value) == 2):
                 raise ConfigError(f"mesh grid {key} must be [lo, hi]")
-        for key in ("nx", "ny"):
-            _integer(_require(grid, key, "mesh grid"), f"mesh grid {key}", 2)
-    else:
-        rng = _require(grid, "r", "mesh grid")
-        if not (isinstance(rng, list) and len(rng) == 2 and 0 < float(rng[0]) < float(rng[1])):
-            raise ConfigError("mesh grid r must be [lo, hi] with 0 < lo < hi")
-        for key in ("n_r", "n_theta"):
-            _integer(_require(grid, key, "mesh grid"), f"mesh grid {key}", 2)
+            grid[key] = [_real(v, f"mesh grid {key}", positive=False) for v in value]
+        else:
+            _integer(value, f"mesh grid {key}", 2)
+    if kind == "annulus" and not 0 < grid["r"][0] < grid["r"][1]:
+        raise ConfigError("mesh grid r must be [lo, hi] with 0 < lo < hi")
     base = str(block.get("base", "0"))
     try:
         parse_scalar(base)

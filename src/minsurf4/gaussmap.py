@@ -268,57 +268,48 @@ def nonorientable_check(q1, q2):
 # -- falsification harness --------------------------------------------------------
 
 
+# Drawn Gaussian integers (Moebius entries, constants) have parts of
+# modulus at most COEFF_BOUND, punctures at most COEFF_BOUND + 1.
+COEFF_BOUND = 3
+
+
 class FalsifyBounds:
     """Instance-shape bounds for the random harness."""
 
-    __slots__ = (
-        "puncture_range",
-        "m_range",
-        "factor_range",
-        "coeff_bound",
-        "require_complete",
-    )
+    __slots__ = ("puncture_range", "m_range", "require_complete")
 
-    def __init__(
-        self,
-        puncture_range=(2, 5),
-        m_range=(0, 3),
-        factor_range=(1, 2),
-        coeff_bound=3,
-        require_complete=False,
-    ):
-        for lo, hi in (puncture_range, m_range, factor_range):
+    def __init__(self, puncture_range=(2, 5), m_range=(0, 3), require_complete=False):
+        for lo, hi in (puncture_range, m_range):
             if lo > hi or lo < 0:
                 raise DomainError("empty or negative bound range")
         if puncture_range[0] < 1:
             raise DomainError("need at least one puncture")
         object.__setattr__(self, "puncture_range", tuple(puncture_range))
         object.__setattr__(self, "m_range", tuple(m_range))
-        object.__setattr__(self, "factor_range", tuple(factor_range))
-        object.__setattr__(self, "coeff_bound", int(coeff_bound))
         object.__setattr__(self, "require_complete", bool(require_complete))
 
     def __setattr__(self, name, value):
         raise AttributeError("FalsifyBounds is immutable")
 
 
-def _draw_punctures(rng, count, coeff_bound):
+def _draw_punctures(rng, count):
     pool = [
         GaussianRational(a, b)
-        for a in range(-coeff_bound - 1, coeff_bound + 2)
-        for b in range(-coeff_bound - 1, coeff_bound + 2)
+        for a in range(-COEFF_BOUND - 1, COEFF_BOUND + 2)
+        for b in range(-COEFF_BOUND - 1, COEFF_BOUND + 2)
     ]
     return rng.sample(pool, count)
 
 
-def _draw_gaussian_int(rng, bound, nonzero=False):
+def _draw_gaussian_int(rng, nonzero=False):
     while True:
-        v = GaussianRational(rng.randint(-bound, bound), rng.randint(-bound, bound))
+        real = rng.randint(-COEFF_BOUND, COEFF_BOUND)
+        v = GaussianRational(real, rng.randint(-COEFF_BOUND, COEFF_BOUND))
         if v or not nonzero:
             return v
 
 
-def _draw_factor(rng, punctures, bound):
+def _draw_factor(rng, punctures):
     kind = rng.random()
     if kind < 0.35:
         # power map: the sharpness family shape
@@ -326,8 +317,8 @@ def _draw_factor(rng, punctures, bound):
         return RationalFunction(Polynomial([0] * k + [1]))
     if kind < 0.65:
         while True:
-            a, b = _draw_gaussian_int(rng, bound), _draw_gaussian_int(rng, bound)
-            c, d = _draw_gaussian_int(rng, bound), _draw_gaussian_int(rng, bound)
+            a, b = _draw_gaussian_int(rng), _draw_gaussian_int(rng)
+            c, d = _draw_gaussian_int(rng), _draw_gaussian_int(rng)
             if a * d - b * c:
                 t = MoebiusTransform(a, b, c, d)
                 r = t.as_rational()
@@ -336,26 +327,26 @@ def _draw_factor(rng, punctures, bound):
     if kind < 0.8:
         # alpha + 1/prod(z - a_j): omits alpha and infinity
         subset = [p for p in punctures if rng.random() < 0.6] or [rng.choice(punctures)]
-        alpha = _draw_gaussian_int(rng, bound)
+        alpha = _draw_gaussian_int(rng)
         den = Polynomial.from_roots(subset)
         return RationalFunction(Polynomial([alpha]) * den + Polynomial([1]), den)
-    return RationalFunction.constant(_draw_gaussian_int(rng, bound))
+    return RationalFunction.constant(_draw_gaussian_int(rng))
 
 
 def _draw_instance(rng, bounds):
     n_punct = rng.randint(*bounds.puncture_range)
-    punctures = _draw_punctures(rng, n_punct, bounds.coeff_bound)
-    n_fac = rng.randint(*bounds.factor_range)
+    punctures = _draw_punctures(rng, n_punct)
+    n_fac = rng.randint(1, 2)
     factors = []
     for _ in range(n_fac):
         m = rng.randint(*bounds.m_range)
-        factors.append((_draw_factor(rng, punctures, bounds.coeff_bound), m))
+        factors.append((_draw_factor(rng, punctures), m))
     den = Polynomial([1])
     for p in punctures:
         e = rng.randint(1, 2)
         den = den * Polynomial.from_roots([p]) ** e
     omega_hat = RationalFunction(
-        Polynomial([_draw_gaussian_int(rng, bounds.coeff_bound, nonzero=True)]), den
+        Polynomial([_draw_gaussian_int(rng, nonzero=True)]), den
     )
     spec = MetricSpec(factors, omega_hat)
     return spec, PuncturedPlane(punctures)

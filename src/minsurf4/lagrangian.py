@@ -37,16 +37,6 @@ class HolomorphicPair:
     def __setattr__(self, name, value):
         raise AttributeError("HolomorphicPair is immutable")
 
-    def poles(self):
-        out = []
-        for F in (self.F1, self.F2):
-            if F.den.degree > 0:
-                out.extend(z for z, _ in roots(F.den))
-        return out
-
-    def pole_free_on(self, domain):
-        return all(not domain.contains(z) for z in self.poles())
-
 
 def spinors(pair):
     """S1 = F2', S2 = -F1'."""
@@ -77,11 +67,11 @@ class LagrangianSpec:
         return cls(pair, beta, s1, s2)
 
     @classmethod
-    def from_spinors(cls, S1, S2, beta=0.0):
+    def from_spinors(cls, S1, S2):
         for s in (S1, S2):
             if not isinstance(s, RationalFunction):
                 raise DomainError("spinors must be rational functions")
-        return cls(None, beta, S1, S2)
+        return cls(None, 0.0, S1, S2)
 
     def degenerate_everywhere(self):
         return self.S1.is_zero() and self.S2.is_zero()
@@ -155,11 +145,14 @@ def immersion_xyzw_phase_dropped(spec, z, coord):
 
 def metric_curvature(spec, z):
     """(lambda^2, K) at z, evaluated in floats; degenerate points are
-    refused, and so are points where z, lambda^2 or K overflows a float
-    (UnsupportedPoint)."""
+    refused, and so are poles of the spinors and points where z, lambda^2
+    or K overflows a float (UnsupportedPoint)."""
     z = _finite(lambda: to_complex(z), "z", z)
-    s1 = to_complex(spec.S1.eval_at(z))
-    s2 = to_complex(spec.S2.eval_at(z))
+    try:
+        s1 = to_complex(spec.S1.eval_at(z))
+        s2 = to_complex(spec.S2.eval_at(z))
+    except ZeroDivisionError:
+        raise UnsupportedPoint(f"pole of the spinors at z = {z}") from None
     lam2 = _finite(lambda: abs(s1) ** 2 + abs(s2) ** 2, "lambda^2", z)
     if lam2 == 0.0:
         raise DegeneratePoint(f"metric vanishes at {z}")
@@ -204,7 +197,11 @@ def _stencil_vals(fn, z, h):
         raise BadStencil("stencil touches a pole") from e
 
 
-def lagrangian_minimality_check(spec, z, h=1e-3, drop_phase_coord=None):
+# central-difference step of lagrangian_minimality_check
+STENCIL_H = 1e-3
+
+
+def lagrangian_minimality_check(spec, z, h=STENCIL_H, drop_phase_coord=None):
     """(symplectic residual, harmonicity residual) by central differences.
 
     The symplectic residual is the pullback coefficient of

@@ -96,30 +96,26 @@ def plane_grid(x_range, y_range, nx, ny):
     return points, faces
 
 
-def annulus_grid(r_lo, r_hi, n_r, n_theta, center=0j, theta_range=None):
-    """Polar grid; the angular seam closes when theta_range is the full turn."""
+def annulus_grid(r_lo, r_hi, n_r, n_theta):
+    """Polar grid about 0 over the full turn, its angular seam closed."""
     if not (0 < r_lo < r_hi):
         raise DomainError("need 0 < r_lo < r_hi")
     if n_r < 2 or n_theta < 3:
         raise DomainError("polar grid needs n_r >= 2, n_theta >= 3")
-    closed = theta_range is None
-    t0, t1 = (0.0, 2.0 * math.pi) if closed else theta_range
-    cols = n_theta if closed else n_theta + 1
-    c = to_complex(center)
     points = []
     for j in range(n_r):
         r = r_lo + (r_hi - r_lo) * j / (n_r - 1)
-        for i in range(cols):
-            th = t0 + (t1 - t0) * i / n_theta
-            points.append(c + r * complex(math.cos(th), math.sin(th)))
+        for i in range(n_theta):
+            th = 2.0 * math.pi * i / n_theta
+            points.append(r * complex(math.cos(th), math.sin(th)))
     faces = []
     for j in range(n_r - 1):
-        for i in range(n_theta if closed else n_theta):
-            i2 = (i + 1) % cols if closed else i + 1
-            a = j * cols + i
-            b = j * cols + i2
-            cc = (j + 1) * cols + i
-            d = (j + 1) * cols + i2
+        for i in range(n_theta):
+            i2 = (i + 1) % n_theta
+            a = j * n_theta + i
+            b = j * n_theta + i2
+            cc = (j + 1) * n_theta + i
+            d = (j + 1) * n_theta + i2
             faces.append((a, b, d))
             faces.append((a, d, cc))
     return points, faces
@@ -136,7 +132,7 @@ def _singular_locus(domain, poles):
     return dedup
 
 
-def export_mesh(p, domain, grid, base, metadata=None, path=None):
+def export_mesh(p, domain, grid, base, path=None):
     """Immerse a structured grid and triangulate it.
 
     grid is (points, faces) from one of the builders. Irregular data is
@@ -166,9 +162,7 @@ def export_mesh(p, domain, grid, base, metadata=None, path=None):
     for f in faces:
         if all(i in index_map for i in f):
             new_faces.append(tuple(index_map[i] for i in f))
-    meta = dict(metadata or {})
-    meta.setdefault("skipped-points", skipped)
-    mesh = Mesh(xs, new_faces, meta)
+    mesh = Mesh(xs, new_faces, {"skipped-points": skipped})
     if path is not None:
         digest = write_mesh(mesh, path)
         mesh.metadata["written-sha256"] = digest

@@ -149,12 +149,11 @@ class CompletenessEntry:
 
 
 class CompletenessReport:
-    __slots__ = ("entries", "overall", "rationale")
+    __slots__ = ("entries", "overall")
 
-    def __init__(self, entries, overall, rationale=COMPLETENESS_RULE):
+    def __init__(self, entries, overall):
         object.__setattr__(self, "entries", tuple(entries))
         object.__setattr__(self, "overall", overall)
-        object.__setattr__(self, "rationale", rationale)
 
     def __setattr__(self, name, value):
         raise AttributeError("CompletenessReport is immutable")
@@ -163,7 +162,7 @@ class CompletenessReport:
         return {
             "entries": [e.to_dict() for e in self.entries],
             "overall": self.overall,
-            "rationale": self.rationale,
+            "rationale": COMPLETENESS_RULE,
         }
 
 

@@ -69,8 +69,8 @@ class Polynomial:
         return cls([0, 1])
 
     @classmethod
-    def from_roots(cls, roots, lead=1):
-        p = cls.constant(lead)
+    def from_roots(cls, roots):
+        p = cls.constant(1)
         for r in roots:
             p = p * cls([-as_scalar(r), 1])
         return p
@@ -387,7 +387,7 @@ def squarefree_decomposition(p):
     return out
 
 
-def _aberth(coeffs, tol=1e-14, maxiter=200):
+def _aberth(coeffs):
     """All roots of a complex polynomial with simple roots expected."""
     n = len(coeffs) - 1
     if n <= 0:
@@ -399,7 +399,7 @@ def _aberth(coeffs, tol=1e-14, maxiter=200):
     zs = [radius * cmath.exp(2j * math.pi * (k / n) + 0.4j) * (1 + 0.01 * k / max(n, 1)) for k in range(n)]
     der = [k * cs[k] for k in range(1, n + 1)]
 
-    for _ in range(maxiter):
+    for _ in range(200):
         moved = 0.0
         for i in range(n):
             z = zs[i]
@@ -424,7 +424,7 @@ def _aberth(coeffs, tol=1e-14, maxiter=200):
                 step = newton / denom
             zs[i] = z - step
             moved = max(moved, abs(step))
-        if moved < tol * (1.0 + max(abs(z) for z in zs)):
+        if moved < 1e-14 * (1.0 + max(abs(z) for z in zs)):
             break
     # Newton polish
     for i in range(n):

@@ -58,11 +58,6 @@ class RationalFunction:
     def is_constant(self):
         return self.num.degree <= 0 and self.den.degree == 0
 
-    def constant_value(self):
-        if not self.is_constant():
-            raise DomainError("not a constant")
-        return self.num.coeff(0)
-
     # -- field operations ----------------------------------------------------
 
     def _coerce(self, other):

@@ -309,9 +309,10 @@ def _immerse(p, domain, base, targets, poles):
     return [tuple(v) for v in (x[:, 1:] - x[:, :1]).T.tolist()]
 
 
-def loop_period(p, center, radius, n=2048):
-    """∮ phi_j dz on a circle, by the trapezoid rule (spectral accuracy)."""
+def loop_period(p, center, radius):
+    """∮ phi_j dz on a circle, by the trapezoid rule at 2048 nodes (spectral
+    accuracy)."""
     c = to_complex(center)
-    w = radius * np.exp(2j * math.pi * np.arange(n) / n)
-    dz = 2j * math.pi / n * w
+    w = radius * np.exp(2j * math.pi * np.arange(2048) / 2048)
+    dz = 2j * math.pi / 2048 * w
     return tuple(complex(np.sum(phi.eval_at(c + w) * dz)) for phi in p.phi)

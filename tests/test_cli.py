@@ -102,13 +102,23 @@ def test_lagrangian_report(capsys):
     assert res["corollary_bound"]["bound_holds"] is True
 
 
+def _config_copy(name, section, **entries):
+    """argv entry: a copy of a shipped config with section entries replaced,
+    written under the test's tmp_path."""
+
+    def write(tmp_path):
+        cfg = json.loads((CONFIG_DIR / name).read_text())
+        cfg[section].update(entries)
+        path = tmp_path / name
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    return write
+
+
 def _lagrangian_copy(tmp_path, **block):
     """A copy of the shipped Lagrangian config with block entries replaced."""
-    cfg = json.loads((CONFIG_DIR / "lagrangian-parabola.json").read_text())
-    cfg["lagrangian"].update(block)
-    path = tmp_path / "lagrangian.json"
-    path.write_text(json.dumps(cfg))
-    return str(path)
+    return _config_copy("lagrangian-parabola.json", "lagrangian", **block)(tmp_path)
 
 
 def test_lagrangian_bad_box_is_a_config_error(tmp_path, capsys):
@@ -123,6 +133,25 @@ def test_lagrangian_bad_probe_is_a_config_error(tmp_path, capsys):
     assert err == "error: lagrangian probe: cannot parse scalar 'zz'\n"
 
 
+def _annulus_grid(r):
+    return {"kind": "annulus", "r": r, "n_r": 4, "n_theta": 8}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("lagrangian", _config_copy("lagrangian-parabola.json", "lagrangian", beta=float("nan"))),
+        ("mesh", _config_copy("catenoid-mesh.json", "mesh", grid=_annulus_grid(["a", 2]))),
+        ("mesh", _config_copy("catenoid-mesh.json", "mesh", grid=_annulus_grid([True, 2]))),
+    ],
+    ids=["beta-nan", "r-string", "r-true"],
+)
+def test_bad_real_is_a_config_error(command, config, tmp_path, capsys):
+    code, out, err = _run([command, "--config", config(tmp_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "must be a" in err
+
+
 def test_lagrangian_overflowing_probe_is_an_error_entry(tmp_path, capsys):
     # lambda^2 = |z|^2 + 1 at z = 10^200 is past the float range, and 10^400
     # is past it already as a point; the other probe is still reported
@@ -133,6 +162,17 @@ def test_lagrangian_overflowing_probe_is_an_error_entry(tmp_path, capsys):
     assert probes[big] == {"error": "lambda^2 overflows a float at z = (1e+200+0j)"}
     assert probes[huge] == {"error": f"z overflows a float at z = {huge}"}
     assert probes["0"] == {"K": -2.0, "lambda2": 1.0}
+
+
+def test_lagrangian_probe_at_a_pole_is_an_error_entry(tmp_path, capsys):
+    # F2 = z^2/(z - 1) gives the spinor S1 = F2' a double pole at z = 1;
+    # the other probe is still reported
+    path = _lagrangian_copy(tmp_path, F2="(1)*z^2 over (1)*z + (-1)", probes=["1", "0"])
+    code, out, _ = _run(["lagrangian", "--config", path], capsys)
+    assert code == 0
+    probes = json.loads(out)["results"]["probes"]
+    assert probes["1"] == {"error": "pole of the spinors at z = (1+0j)"}
+    assert probes["0"] == {"K": -8.0, "lambda2": 1.0}
 
 
 def test_lagrangian_bound_violation_exits_2(monkeypatch, capsys):
@@ -216,10 +256,8 @@ def test_nonorientable_pulls_back_once_at_the_admitted_k(monkeypatch, capsys):
 
 
 def test_removed_options_are_rejected(capsys):
-    with pytest.raises(SystemExit):
-        main(["falsify", "--n", "1", "--workers", "2"])
-    with pytest.raises(SystemExit):
-        main(["verify-main", "--config", str(CONFIG_DIR / "prop-family-p4.json"), "--tol", "1e-6"])
+    assert main(["falsify", "--n", "1", "--workers", "2"]) == 1
+    assert main(["verify-main", "--config", str(CONFIG_DIR / "prop-family-p4.json"), "--tol", "1e-6"]) == 1
 
 
 def test_nonorientable_failed_stage_exits_2(tmp_path, capsys):
@@ -233,6 +271,117 @@ def test_nonorientable_failed_stage_exits_2(tmp_path, capsys):
     pipeline = json.loads(out)["results"]["pipeline"]
     assert pipeline["passed"] is False
     assert pipeline["failed_stage"] == "rp2-count"
+
+
+def _negative_verdicts(monkeypatch):
+    """Every verdict the library could report as negative, reported so."""
+    import minsurf4.cli as cli
+    from minsurf4.lagrangian import CorollaryBoundReport
+
+    monkeypatch.setattr(cli, "_verdict", lambda rep: "COUNTEREXAMPLE")
+    monkeypatch.setattr(cli, "falsify", lambda seed, n, bounds: ({"counterexamples": 1}, []))
+    over_bound = CorollaryBoundReport(True, "complete", q=4, bound_holds=False)
+    monkeypatch.setattr(cli, "corollary_bound_check", lambda spec, domain: over_bound)
+
+
+def _existing_file(tmp_path):
+    path = tmp_path / "not-a-directory"
+    path.write_text("")
+    return str(path)
+
+
+def _shipped(name):
+    return str(CONFIG_DIR / name)
+
+
+# (argv, whether negative verdicts are patched in, exit code, failed stage of
+# the nonorientable pipeline); a callable argv entry is given tmp_path
+EXIT_CODES = {
+    "help": (["--help"], False, 0, None),
+    "subcommand-help": (["nonorientable", "--help"], False, 0, None),
+    "no-subcommand": ([], False, 1, None),
+    "verify-main-0": (["verify-main", "--config", _shipped("prop-family-p4.json")], False, 0, None),
+    "verify-main-missing-config": (["verify-main"], False, 1, None),
+    "verify-main-seed": (["verify-main", "--config", _shipped("prop-family-p4.json"), "--seed", "1"], False, 1, None),
+    "verify-main-bad-config": (["verify-main", "--config", _shipped("lagrangian-parabola.json")], False, 1, None),
+    "verify-main-2": (["verify-main", "--config", _shipped("prop-family-p4.json")], True, 2, None),
+    "gen-example-0": (["gen-example", "--p", "4", "--m", "1,1"], False, 0, None),
+    "gen-example-bad-p": (["gen-example", "--p", "1"], False, 1, None),
+    "gen-example-seed": (["gen-example", "--p", "4", "--seed", "1"], False, 1, None),
+    "gen-example-out-is-a-file": (["gen-example", "--p", "4", "--out", _existing_file], False, 1, None),
+    "gen-example-2": (["gen-example", "--p", "4", "--m", "1,1"], True, 2, None),
+    "falsify-0": (["falsify", "--n", "3"], False, 0, None),
+    "falsify-unknown-option": (["falsify", "--n", "3", "--workers", "2"], False, 1, None),
+    "falsify-bad-format": (["falsify", "--n", "3", "--format", "xml"], False, 1, None),
+    "falsify-2": (["falsify", "--n", "3"], True, 2, None),
+    "lagrangian-0": (["lagrangian", "--config", _shipped("lagrangian-parabola.json")], False, 0, None),
+    "lagrangian-format": (
+        ["lagrangian", "--config", _shipped("lagrangian-parabola.json"), "--format", "csv"], False, 1, None
+    ),
+    "lagrangian-bad-config": (
+        ["lagrangian", "--config", _config_copy("lagrangian-parabola.json", "lagrangian", box=True)], False, 1, None
+    ),
+    "lagrangian-bound": (["lagrangian", "--config", _shipped("lagrangian-parabola.json")], True, 2, None),
+    "nonorientable-0": (["nonorientable", "--config", _shipped("moebius-strip.json")], False, 0, None),
+    "nonorientable-no-conformality": (
+        ["nonorientable", "--config", _shipped("moebius-strip.json"), "--no-conformality"], False, 1, None
+    ),
+    "nonorientable-bad-config": (
+        ["nonorientable", "--config", _config_copy("moebius-strip.json", "nonorientable", R=True)], False, 1, None
+    ),
+    "nonorientable-failed-stage": (
+        [
+            "nonorientable",
+            "--config",
+            _config_copy("moebius-strip.json", "nonorientable", declared_omitted=[["1+1i"], ["0", "inf"]]),
+        ],
+        False,
+        2,
+        "rp2-count",
+    ),
+    "nonorientable-bad-b": (
+        ["nonorientable", "--config", _config_copy("moebius-strip.json", "nonorientable", b=["1"])],
+        False,
+        2,
+        "f-condition-c",
+    ),
+    "mesh-0": (["mesh", "--config", _shipped("catenoid-mesh.json")], False, 0, None),
+    "mesh-format": (["mesh", "--config", _shipped("catenoid-mesh.json"), "--format", "csv"], False, 1, None),
+    "mesh-seed": (["mesh", "--config", _shipped("catenoid-mesh.json"), "--seed", "1"], False, 1, None),
+    "mesh-bad-config": (["mesh", "--config", _shipped("moebius-strip.json")], False, 1, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CODES))
+def test_exit_code_table(case, tmp_path, monkeypatch, capsys):
+    argv, negative, expected, failed_stage = EXIT_CODES[case]
+    if negative:
+        _negative_verdicts(monkeypatch)
+    code, out, err = _run([a(tmp_path) if callable(a) else a for a in argv], capsys)
+    assert code == expected, err
+    if expected == 1:
+        assert out == ""
+        assert "error:" in err
+    elif argv[-1] == "--help":
+        assert out.startswith("usage: minsurf4")
+    else:
+        assert err == ""
+        rep = json.loads(out)
+        assert rep["command"] == argv[0]
+        if argv[0] == "nonorientable":
+            assert rep["results"]["pipeline"]["failed_stage"] == failed_stage
+
+
+def test_exit_code_table_covers_every_subcommand():
+    from minsurf4.cli import build_parser
+
+    (subs,) = [a for a in build_parser()._actions if a.dest == "command"]
+    reached = {}
+    for argv, _, code, _ in EXIT_CODES.values():
+        if argv and argv[0] in subs.choices:
+            reached.setdefault(argv[0], set()).add(code)
+    # mesh reaches no negative verdict
+    assert reached == {name: {0, 1} if name == "mesh" else {0, 1, 2} for name in subs.choices}
 
 
 def test_mesh_export_hash_consistency(tmp_path, capsys):

@@ -280,6 +280,46 @@ def test_booleans_are_not_integers():
             _cfg({"mesh": {"grid": grid}})
 
 
+def _annulus_mesh(r):
+    return {"mesh": {"grid": {"kind": "annulus", "r": r, "n_r": 4, "n_theta": 8}}}
+
+
+def _lagrangian(**entries):
+    return {"lagrangian": {"F1": "(1)*z", "F2": "(2)*z", **entries}}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_lagrangian(box=True), "lagrangian box must be a number"),
+        (_lagrangian(beta=True), "lagrangian beta must be a number"),
+        (_lagrangian(beta="0.5"), "lagrangian beta must be a number"),
+        (_lagrangian(beta=float("nan")), "lagrangian beta must be a finite number"),
+        (_lagrangian(box=10**400), "lagrangian box must be a finite positive number"),
+        ({"domain": {"kind": "annulus", "R": True}}, "domain R must be a number"),
+        (_nonorientable_doc(R=True), "nonorientable R must be a number"),
+        (_nonorientable_doc(slack=float("inf")), "nonorientable slack must be a finite positive number"),
+        (_annulus_mesh(["a", 2]), "mesh grid r must be a number"),
+        (_annulus_mesh([True, 2]), "mesh grid r must be a number"),
+        (_annulus_mesh([0.5, float("inf")]), "mesh grid r must be a finite number"),
+        (
+            {"mesh": {"grid": {"kind": "plane", "x": [-1, False], "y": [-1, 1], "nx": 4, "ny": 4}}},
+            "mesh grid x must be a number",
+        ),
+    ],
+)
+def test_reals_are_finite_numbers_and_not_booleans(doc, message):
+    with pytest.raises(ConfigError) as e:
+        _cfg(doc)
+    assert str(e.value) == message
+
+
+def test_mesh_grid_ranges_are_read_as_floats():
+    grid = _cfg(_annulus_mesh([1, 2])).need("mesh")["grid"]
+    assert grid["r"] == [1.0, 2.0]
+    assert all(type(v) is float for v in grid["r"])
+
+
 def test_generated_mesh_config_loads():
     # the shipped catenoid config with its grid and file name replaced, as
     # a benchmark or a script writes it

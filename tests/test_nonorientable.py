@@ -544,9 +544,6 @@ def test_assemble_report_conformality_gate():
     rep = assemble_report(data, f, 3, 4.0, samples=100)
     assert not rep.passed
     assert rep.failed_stage == "conformality"
-    rep = assemble_report(data, f, 3, 4.0, check_conformality=False, samples=100)
-    assert rep.passed
-    assert any(s.name == "conformality" and s.status == "skipped" for s in rep.stages)
 
 
 def test_constant_imaginary_component_pulls_back_symmetric():

@@ -1,16 +1,20 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and every module-level name is referenced somewhere else.
+and every module-level name and public method is referenced somewhere else.
 
 `__init__.py` is exempt from the import check, since its imports are the
 package's public namespace. A module-level name (function, class or
 assignment; `__version__` excepted) must be read, imported or reached as an
 attribute by some top-level statement of `src/` or `tests/` other than its
-own definition. Only the standard library is used, so the check runs
-wherever the suite does.
+own definition. A method of a module-level class whose name does not start
+with `_` must be read or reached as an attribute somewhere in `src/` or
+`tests/` outside its own body; the match is by name alone, whatever the
+receiver. Only the standard library is used, so the check runs wherever the
+suite does.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -108,6 +112,65 @@ def test_every_module_level_name_is_referenced():
     trees = {str(p.relative_to(ROOT)): ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
     unused = [(module, name) for module, name in unreferenced_names(trees) if module.startswith("src")]
     assert not unused, "module-level names nothing references: " + ", ".join(
+        f"{module}:{name}" for module, name in unused
+    )
+
+
+def public_methods(tree):
+    """(class name, method def) for each method of a module-level class
+    whose name does not start with `_`."""
+    return [
+        (cls.name, stmt)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not stmt.name.startswith("_")
+    ]
+
+
+def references(node):
+    """Counter of the names read or reached as an attribute inside node."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)) or isinstance(n, ast.Attribute)
+    )
+
+
+def unreferenced_methods(trees):
+    """Sorted (module, "Class.method") for each public method that nothing
+    references outside its own body."""
+    refs = Counter()
+    for tree in trees.values():
+        refs.update(references(tree))
+    out = []
+    for module, tree in trees.items():
+        for cls, method in public_methods(tree):
+            if refs[method.name] == references(method)[method.name]:
+                out.append((module, f"{cls}.{method.name}"))
+    return sorted(out)
+
+
+def test_the_check_sees_unreferenced_methods():
+    trees = {
+        "a": ast.parse(
+            "class C:\n"
+            "    def used(self):\n        return self.recursive()\n\n"
+            "    def recursive(self):\n        return self.recursive()\n\n"
+            "    def idle(self):\n        pass\n\n"
+            "    def _private(self):\n        pass\n"
+        ),
+        "b": ast.parse("from a import C\nC().used()\n"),
+    }
+    assert unreferenced_methods(trees) == [("a", "C.idle")]
+    trees["b"] = ast.parse("from a import C\n")
+    assert unreferenced_methods(trees) == [("a", "C.idle"), ("a", "C.used")]
+
+
+def test_every_public_method_is_referenced():
+    trees = {str(p.relative_to(ROOT)): ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    unused = [(module, name) for module, name in unreferenced_methods(trees) if module.startswith("src")]
+    assert not unused, "public methods nothing references: " + ", ".join(
         f"{module}:{name}" for module, name in unused
     )
 
