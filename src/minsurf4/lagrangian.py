@@ -18,7 +18,7 @@ from .errors import BadStencil, DegeneratePoint, DomainError, UnsupportedPoint
 from .domains import PuncturedPlane
 from .gaussmap import exceptional_values
 from .metric import MetricSpec, is_complete
-from .poly import gcd, roots
+from .poly import Polynomial, gcd, multiplicity_at, roots
 from .rational import RationalFunction
 from .scalars import to_complex
 from .sphere import format_point
@@ -272,12 +272,32 @@ class CorollaryBoundReport:
         }
 
 
+def _pole_in_domain(spec, domain):
+    """A pole of the spinors that is not a puncture, or None. Each
+    denominator loses its factor (z - p)^m at every puncture p, m the exact
+    multiplicity there; a positive degree left over is a pole in the domain,
+    named by its float root."""
+    for S in (spec.S1, spec.S2):
+        den = S.den
+        for p in domain.punctures:
+            den = divmod(den, Polynomial([-p, 1]) ** multiplicity_at(den, p))[0]
+        if den.degree > 0:
+            return roots(den)[0][0]
+    return None
+
+
 def corollary_bound_check(spec, domain):
     """Complete minimal Lagrangian surfaces omit at most 3 tangent-plane
     values: builds the metric (1+|g|^2)|S1 dz|^2 with g = -S2/S1 and counts
-    the omitted values when the metric is complete."""
+    the omitted values when the metric is complete. The surface must be
+    defined on the domain, so a pole of the spinors that is not a puncture
+    makes the check not applicable."""
     if not isinstance(domain, PuncturedPlane):
         raise DomainError("bound check runs on punctured planes")
+    pole = _pole_in_domain(spec, domain)
+    if pole is not None:
+        reason = f"not-applicable: pole of the spinors at z = {pole:.6g} in the domain"
+        return CorollaryBoundReport(False, reason)
     if spec.S1.is_zero():
         return CorollaryBoundReport(False, "not-applicable: Lagrangian plane case")
     g = -spec.S2 / spec.S1

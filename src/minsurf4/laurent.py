@@ -8,11 +8,9 @@ module adds only the shift.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import DomainError
-from .poly import Polynomial, conj_reflect, format_terms, horner, parse_terms
-from .scalars import as_scalar, to_complex
+from .poly import Polynomial, conj_reflect, float_point, format_terms, horner, parse_terms
+from .scalars import as_scalar
 
 
 class LaurentPoly:
@@ -152,11 +150,15 @@ class LaurentPoly:
 
     def eval(self, z):
         """Complex evaluation at a point or, elementwise, at a numpy array of
-        points; every point must be nonzero when negative exponents exist."""
-        zz = z if isinstance(z, (complex, np.ndarray)) else to_complex(z)
-        if self.lo < 0 and np.any(zz == 0):
+        points; every point must be nonzero when negative exponents exist.
+        Only the nonorientable pipeline evaluates Laurent polynomials, and it
+        builds numpy arrays anyway, so one numpy test serves both kinds of z."""
+        import numpy as np
+
+        z = float_point(z)
+        if self.lo < 0 and np.any(z == 0):
             raise ZeroDivisionError("Laurent polynomial evaluated at 0")
-        return horner(self.poly.to_complex_coeffs(), zz) * zz**self.lo
+        return horner(self.poly.to_complex_coeffs(), z) * z**self.lo
 
     __call__ = eval
 

@@ -25,8 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from .domains import derive_rng
 from .errors import ConditionViolation, DomainError, KSearchExhausted, PeriodObstruction
 from .laurent import LaurentPoly, format_laurent
@@ -147,11 +145,14 @@ def f_from_coefficients(b):
 
 def _circle(samples, r=1.0):
     """The points r e^{2 pi i j / samples}, j = 0, ..., samples - 1."""
+    import numpy as np
+
     return r * np.exp(2j * math.pi * np.arange(samples) / samples)
 
 
 def unit_circle_min(f):
     """min |f| on |z| = 1: a 4096-point sweep plus 60 ternary refinements."""
+    import numpy as np
 
     def val(theta):
         return abs(f.eval(cmath.exp(1j * theta)))
@@ -291,6 +292,8 @@ K_SEARCH_CAP = 99
 
 
 def _circle_extrema(f, r):
+    import numpy as np
+
     v = np.abs(f.eval(_circle(2048, r)))
     return float(v.min()), float(v.max())
 
@@ -402,6 +405,8 @@ def sandwich_check(data, psis, bounds, rho, samples=1000, seed=0, slack=1e-12):
     Pointwise lambda_0^2 = |f|^2 lambda_pull^2, so the bounds on |f| give the
     sandwich; this re-checks it numerically. Returns (ok, worst_margin).
     """
+    import numpy as np
+
     k = bounds.k
     c2 = bounds.c * bounds.c
     z = np.array(_sandwich_samples(rho, samples, seed), dtype=complex)
@@ -428,6 +433,8 @@ def half_domain_mesh(psis, rho, n_r=8, n_theta=64, metadata=None):
     must be even so identified circle vertices pair up exactly; pairs are
     recorded in the metadata as vertex index pairs.
     """
+    import numpy as np
+
     if n_theta % 2:
         raise DomainError("n_theta must be even for the identification pairs")
     bad = [j for j, h in enumerate(psis) if h.coeff(0)]

@@ -14,19 +14,31 @@ division, `monic`, the gcd (a primitive PRS over Z[i]), `multiplicity_at`
 and the conformality identity of `weierstrass.check_conformality` work on
 those pairs and build GaussianRationals only for their result, so exact
 results are the ones field arithmetic on Fraction pairs gives.
+
+Float evaluation takes a point through `float_point`, and nothing here
+imports numpy at module level, so exact work never loads it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import re
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError, RequiresExactMode
 from .scalars import GaussianRational, as_scalar, format_scalar, is_exact, parse_scalar, to_complex
+
+
+def float_point(z):
+    """The one dispatch rule of Polynomial.eval, RationalFunction.eval_at and
+    LaurentPoly.eval for a point they evaluate in floats: a scalar, exact or a
+    Python or numpy number, becomes a complex, and anything else is taken to
+    be a numpy array of points for `horner`. numpy scalars are registered as
+    `numbers.Number`s, so numpy is not imported to tell them apart.
+    """
+    return complex(z) if isinstance(z, (GaussianRational, numbers.Number)) else z
 
 
 def horner(ccoeffs, z):
@@ -35,7 +47,13 @@ def horner(ccoeffs, z):
     z is a complex scalar or a numpy array of points, evaluated elementwise;
     the float kernel under Polynomial.eval and LaurentPoly.eval.
     """
-    acc = np.zeros(z.shape, complex) if isinstance(z, np.ndarray) else 0j
+    if isinstance(z, complex):
+        acc = 0j
+    else:
+        # zeros, not z * 0j: the zero polynomial would return signed zeros
+        import numpy as np
+
+        acc = np.zeros(z.shape, complex)
     for c in reversed(ccoeffs):
         acc = acc * z + c
     return acc
@@ -187,11 +205,9 @@ class Polynomial:
 
     def eval(self, z):
         """Value at z: exact at an exact point, complex at a float point or,
-        elementwise, at a numpy array of points."""
-        if isinstance(z, np.ndarray):
-            return horner(self.to_complex_coeffs(), z)
+        elementwise, at a numpy array of points (see float_point)."""
         if not is_exact(z):
-            return horner(self.to_complex_coeffs(), complex(z))
+            return horner(self.to_complex_coeffs(), float_point(z))
         z = as_scalar(z)
         acc = GaussianRational(0)
         for c in reversed(self.coeffs):

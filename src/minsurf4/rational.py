@@ -9,8 +9,6 @@ exact points only; floats enter as evaluation points.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import DomainError, UnsupportedPoint
 from .poly import Polynomial, conj_reflect, format_poly, gcd, multiplicity_at, parse_poly
 from .scalars import GaussianRational, as_scalar, is_exact
@@ -148,7 +146,7 @@ class RationalFunction:
         raises ZeroDivisionError at a pole."""
         n = self.num.eval(z)
         d = self.den.eval(z)
-        if not (d.all() if isinstance(d, np.ndarray) else d):
+        if not (d if isinstance(d, (GaussianRational, complex)) else d.all()):
             raise ZeroDivisionError("pole")
         return n / d
 

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DegenerateFrame, DomainError, InvalidPath, MultivaluedImmersion
 from .domains import Annulus, PuncturedPlane
 from .poly import clear_denominators, gcd_many, horner, roots, zi_mul
@@ -260,6 +258,8 @@ def _primitive(phi, poles):
     i < m - 1, + Re(r_a) ln|z - a| with r_a = c_{m-1}; the last term is
     Re(r_a log(z - a)) only for real r_a, so any other residue raises.
     """
+    import numpy as np
+
     q = divmod(phi.num, phi.den)[0].to_complex_coeffs()
     poly = (0j,) + tuple(c / (k + 1) for k, c in enumerate(q))
     parts = []
@@ -297,6 +297,8 @@ def immerse(p, domain, base, targets):
 
 def _immerse(p, domain, base, targets, poles):
     """immerse, given roots(phi.den) for each form phi in `poles`."""
+    import numpy as np
+
     if isinstance(domain, PuncturedPlane) and domain.punctures:
         if not period_residues(p, domain).well_defined:
             raise MultivaluedImmersion("nonreal residues make Re int path-dependent")
@@ -312,6 +314,8 @@ def _immerse(p, domain, base, targets, poles):
 def loop_period(p, center, radius):
     """∮ phi_j dz on a circle, by the trapezoid rule at 2048 nodes (spectral
     accuracy)."""
+    import numpy as np
+
     c = to_complex(center)
     w = radius * np.exp(2j * math.pi * np.arange(2048) / 2048)
     dz = 2j * math.pi / 2048 * w

@@ -175,6 +175,17 @@ def test_lagrangian_probe_at_a_pole_is_an_error_entry(tmp_path, capsys):
     assert probes["0"] == {"K": -8.0, "lambda2": 1.0}
 
 
+def test_lagrangian_pole_in_the_domain_is_not_applicable(tmp_path, capsys):
+    # the shipped domain is the whole plane, where S1 = F2' has a pole at 1
+    path = _lagrangian_copy(tmp_path, F2="(1)*z^2 over (1)*z + (-1)")
+    code, out, _ = _run(["lagrangian", "--config", path], capsys)
+    assert code == 0
+    bound = json.loads(out)["results"]["corollary_bound"]
+    assert bound["applicable"] is False
+    assert bound["reason"] == "not-applicable: pole of the spinors at z = 1+0j in the domain"
+    assert bound["omitted"] is None
+
+
 def test_lagrangian_bound_violation_exits_2(monkeypatch, capsys):
     import minsurf4.cli as cli
     from minsurf4.lagrangian import CorollaryBoundReport
@@ -517,3 +528,90 @@ def test_installed_console_script():
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["results"]["verdict"] == "equality"
+
+
+# Every exact command, and the exact round trip of Weierstrass data, run in a
+# child interpreter that must never import numpy; `mesh` builds float arrays
+# and must import it, so the check cannot pass vacuously.
+_EXACT_WORK = f"""
+import sys
+import minsurf4
+from minsurf4.cli import main
+from minsurf4.poly import Polynomial
+from minsurf4.rational import RationalFunction
+from minsurf4.weierstrass import WeierstrassData, check_conformality, data_from_phis, phis_from_data
+
+configs = {str(CONFIG_DIR)!r}
+for argv in (
+    ["falsify", "--seed", "3", "--n", "20", "--allow-incomplete", "--format", "csv"],
+    ["verify-main", "--config", configs + "/prop-family-p4.json"],
+    ["lagrangian", "--config", configs + "/lagrangian-parabola.json"],
+    ["gen-example", "--p", "4", "--m", "1,1"],
+):
+    assert main(argv) == 0, argv
+z = RationalFunction(Polynomial([0, 1]))
+w = WeierstrassData(z, -z, 1 / (z * z - 2))
+p = phis_from_data(w)
+assert check_conformality(p)
+assert data_from_phis(p) == w
+assert len(p.eval(0.5 + 0.25j)) == 4
+print("numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_exact_commands_do_not_import_numpy(tmp_path):
+    proc = _python_subprocess(["-c", _EXACT_WORK], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "False"
+
+
+def test_mesh_imports_numpy(tmp_path):
+    mesh = f"""
+import sys
+from minsurf4.cli import main
+assert main(["mesh", "--config", {str(CONFIG_DIR / "catenoid-mesh.json")!r}]) == 0
+print("numpy" in sys.modules, file=sys.stderr)
+"""
+    proc = _python_subprocess(["-c", mesh], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "True"
+
+
+GOLDEN_ARTIFACTS = {
+    ("verify-main", "--config", "prop-family-p4.json"): {
+        "verify-main.json": "fbc2b0681f6236b9e33dedf745503fb29927d20a515cd1a5a777e9d4860ed690",
+    },
+    ("lagrangian", "--config", "lagrangian-parabola.json"): {
+        "lagrangian.json": "63985c248d5f78ee685a29ba6fcf06a4e8f1ab479d61ab0fba4cdcbc154de3b8",
+    },
+    ("nonorientable", "--config", "moebius-strip.json"): {
+        "nonorientable.json": "a615b4bc39f4bbc125b80febd85afa988d18fab6119ae5d7ae0c068e76db94ca",
+        "moebius.mesh": "a83d888ac082bc919a56b46cd415e23e1f04adc12049ce9cfc3025ebbfd98e23",
+    },
+    ("mesh", "--config", "catenoid-mesh.json"): {
+        "mesh.json": "09a02bc071960c1ef9bb89e791532b6d073bcbabb1a76f266d1c6ed42859f692",
+        "catenoid.mesh": "8fc853c7bb336e0a3d4979959bce1d3332ccb18b7a2fe72c92466947472b84d4",
+    },
+    ("falsify", "--seed", "7", "--n", "50"): {
+        "falsify.json": "311b571b961493c354c075a0b23b62435fcdcf4fcf829ae4d03c53de66854dee",
+        "falsify.csv": "659f6767a33ab14549e5b6f368edc0c00752b087fc262313e244c7651be7dc2a",
+    },
+    ("gen-example", "--p", "4", "--m", "1,1"): {
+        "gen-example.json": "dca1d2174d61ddcf86b93c10f411381a797f6cdfe5d73872a2c85fa9447a2b29",
+    },
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_ARTIFACTS, ids=lambda c: c[0])
+def test_golden_artifacts(command, tmp_path, capsys):
+    """The sha256 of each file a command writes with --out (criterion 10).
+
+    Any change must leave every artifact byte-identical, except a change
+    that moves a float on purpose: it updates the hash here and says so in
+    CHANGES.md.
+    """
+    argv = [str(CONFIG_DIR / a) if a.endswith(".json") else a for a in command]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert written == GOLDEN_ARTIFACTS[command]

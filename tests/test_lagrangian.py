@@ -211,6 +211,27 @@ def test_corollary_bound_plane_case():
     assert "not-applicable" in rep.reason
 
 
+def test_corollary_bound_needs_the_spinors_defined_on_the_domain():
+    z = _z()
+    # F = (z, z^2/(z - 1)): S1 = F2' = (z^2 - 2z)/(z - 1)^2, g = (z - 1)^2/(z^2 - 2z)
+    spec = LagrangianSpec.from_spinors(*spinors(HolomorphicPair(z, z * z / (z - 1))))
+    rep = corollary_bound_check(spec, PuncturedPlane([]))
+    assert not rep.applicable
+    assert rep.reason == "not-applicable: pole of the spinors at z = 1+0j in the domain"
+    assert rep.omitted is None
+    # punctured at the pole, g omits 0 (taken only at z = 1) and 1
+    rep = corollary_bound_check(spec, PuncturedPlane([GaussianRational(1)]))
+    assert rep.applicable
+    assert rep.to_dict()["omitted"] == ["0", "1"]
+    # a pole of S2 only, off the punctures and irrational: z^2 = 2
+    s1 = 1 / ((z - 1) * (z + 1))
+    s2 = -z / ((z - 1) * (z + 1) * (z * z - 2))
+    spec = LagrangianSpec.from_spinors(s1, s2)
+    rep = corollary_bound_check(spec, PuncturedPlane([GaussianRational(1), GaussianRational(-1)]))
+    assert not rep.applicable
+    assert rep.reason.startswith("not-applicable: pole of the spinors at z = -1.41421")
+
+
 def test_corollary_bound_incomplete_case():
     z = _z()
     spec = LagrangianSpec.from_spinors(RationalFunction.constant(1), -z)

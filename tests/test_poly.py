@@ -107,6 +107,23 @@ def test_array_eval_matches_scalar_eval(coeffs):
     assert np.allclose(grid[:, 0], values, rtol=1e-15, atol=0.0)
 
 
+def test_eval_dispatch_rule():
+    """An exact point runs exact Horner, a Python or numpy scalar gives a
+    complex, and anything else is an array of points."""
+    p = Polynomial([1, GaussianRational("1/3", 2), -4])
+    z = np.array([0.5, -0.25j])
+    assert p.eval(F(1, 2)) == p.eval(GaussianRational("1/2"))
+    assert isinstance(p.eval(F(1, 2)), GaussianRational)
+    for scalar in (0.5, 0.5 + 0j, np.float64(0.5), np.float32(0.5), np.complex64(0.5), np.int64(2)):
+        assert type(p.eval(scalar)) is complex
+        assert p.eval(scalar) == p.eval(complex(scalar))
+    assert isinstance(p.eval(z), np.ndarray)
+    # the zero polynomial over an array is all +0, with no signed zero
+    zero = Polynomial([]).eval(np.array([-1.0 + 1j, 2.0 - 3j]))
+    assert zero.dtype == complex and zero.shape == (2,)
+    assert not np.signbit(zero.real).any() and not np.signbit(zero.imag).any()
+
+
 def test_roots_simple_pair():
     p = parse_poly("(1)*z^2 + (1)")
     found = dict(roots(p))
