@@ -46,7 +46,7 @@ from .lagrangian import (
     spinors,
 )
 from .laurent import LaurentPoly, format_laurent, parse_laurent
-from .meshing import Mesh, annulus_grid, export_mesh, mesh_hash, plane_grid, write_mesh
+from .meshing import Mesh, annulus_grid, export_mesh, plane_grid
 from .metric import (
     MetricSpec,
     boundary_exponent,
@@ -57,7 +57,6 @@ from .metric import (
 from .nonorientable import (
     CoverSpec,
     FCandidate,
-    InvolutionSpec,
     SymmetricLaurentData,
     assemble_report,
     build_f,

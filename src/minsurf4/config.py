@@ -21,6 +21,7 @@ from .lagrangian import HolomorphicPair, LagrangianSpec
 from .metric import MetricSpec
 from .nonorientable import SymmetricLaurentData
 from .rational import parse_rational
+from .report import Record
 from .scalars import parse_scalar
 from .sphere import SpherePoint
 from .weierstrass import WeierstrassData
@@ -219,7 +220,7 @@ def parse_mesh(block):
     return {"grid": grid, "base": base, "filename": block.get("filename", "surface.mesh")}
 
 
-class RunConfig:
+class RunConfig(Record):
     """Validated run parameters; raw text retained for hashing."""
 
     __slots__ = (
@@ -248,18 +249,11 @@ class RunConfig:
             ("mesh", parse_mesh),
         )
         _as_mapping(raw, "config root", ["seed"] + [name for name, _ in sections])
-        object.__setattr__(self, "raw_text", raw_text)
-        object.__setattr__(self, "raw", raw)
         seed = raw.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError("seed must be an integer")
-        object.__setattr__(self, "seed", seed)
-        for name, parser in sections:
-            block = raw.get(name)
-            object.__setattr__(self, name, None if block is None else parser(block))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RunConfig is immutable")
+        parsed = [None if raw.get(name) is None else parser(raw[name]) for name, parser in sections]
+        super().__init__(raw_text, raw, seed, *parsed)
 
     def need(self, name):
         value = getattr(self, name)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 from .errors import DomainError
+from .report import Record
 from .scalars import as_scalar, to_complex
 from .sphere import INFINITY, SpherePoint, format_point
 
@@ -20,16 +21,8 @@ INNER_CIRCLE = "inner-circle"
 OUTER_CIRCLE = "outer-circle"
 
 
-class BoundaryPoint:
+class BoundaryPoint(Record):
     __slots__ = ("kind", "index", "location")
-
-    def __init__(self, kind, index=None, location=None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "location", location)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BoundaryPoint is immutable")
 
     def label(self):
         if self.kind == PUNCTURE:
@@ -47,7 +40,7 @@ def _check_distinct(points):
         raise DomainError("punctures must be distinct")
 
 
-class PuncturedPlane:
+class PuncturedPlane(Record):
     """C minus finitely many points; the sphere boundary adds infinity."""
 
     __slots__ = ("punctures",)
@@ -55,10 +48,7 @@ class PuncturedPlane:
     def __init__(self, punctures=()):
         pts = tuple(as_scalar(p) for p in punctures)
         _check_distinct(pts)
-        object.__setattr__(self, "punctures", pts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PuncturedPlane is immutable")
+        super().__init__(pts)
 
     def boundary_points(self):
         out = [
@@ -77,7 +67,7 @@ class PuncturedPlane:
         return f"PuncturedPlane([{pts}])"
 
 
-class Annulus:
+class Annulus(Record):
     """{1/R < |z| < R} minus punctures strictly inside."""
 
     __slots__ = ("R", "punctures")
@@ -92,11 +82,7 @@ class Annulus:
             r = abs(to_complex(p))
             if not (1.0 / R < r < R):
                 raise DomainError("puncture outside the open annulus")
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "punctures", pts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Annulus is immutable")
+        super().__init__(R, pts)
 
     def boundary_points(self):
         out = [

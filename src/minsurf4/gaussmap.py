@@ -16,6 +16,7 @@ from .domains import PuncturedPlane, derive_rng
 from .metric import MetricSpec, is_complete
 from .poly import Polynomial, multiplicity_at
 from .rational import INF, MoebiusTransform, RationalFunction
+from .report import Record
 from .scalars import GaussianRational
 from .sphere import INFINITY, SpherePoint, dedupe_points, format_point
 
@@ -69,59 +70,12 @@ def exceptional_values(g, domain):
     return tuple(sorted(omitted, key=SpherePoint.sort_key))
 
 
-class FactorReport:
+class FactorReport(Record):
     __slots__ = ("m", "constant", "omitted", "q")
 
-    def __init__(self, m, constant, omitted=None, q=None):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "constant", constant)
-        object.__setattr__(self, "omitted", omitted)
-        object.__setattr__(self, "q", q)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FactorReport is immutable")
-
-    def to_dict(self):
-        return {
-            "m": self.m,
-            "constant": self.constant,
-            "omitted": None
-            if self.omitted is None
-            else [format_point(v) for v in self.omitted],
-            "q": self.q,
-        }
-
-
-class MainInequalityReport:
-    __slots__ = (
-        "completeness",
-        "factors",
-        "lhs",
-        "applicable",
-        "holds",
-        "counterexample",
-    )
-
-    def __init__(self, completeness, factors, lhs, applicable, holds, counterexample):
-        object.__setattr__(self, "completeness", completeness)
-        object.__setattr__(self, "factors", tuple(factors))
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "applicable", applicable)
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "counterexample", counterexample)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MainInequalityReport is immutable")
-
-    def to_dict(self):
-        return {
-            "completeness": self.completeness.to_dict(),
-            "factors": [f.to_dict() for f in self.factors],
-            "lhs": None if self.lhs is None else str(self.lhs),
-            "applicable": self.applicable,
-            "holds": self.holds,
-            "counterexample": self.counterexample,
-        }
+class MainInequalityReport(Record):
+    __slots__ = ("completeness", "factors", "lhs", "applicable", "holds", "counterexample")
 
 
 def verify_main_inequality(spec, domain):
@@ -137,7 +91,7 @@ def verify_main_inequality(spec, domain):
     qs = []
     for g, m in spec.factors:
         if g.is_constant():
-            factors.append(FactorReport(m, True))
+            factors.append(FactorReport(m, True, None, None))
             continue
         omitted = exceptional_values(g, domain)
         q = len(omitted)
@@ -150,33 +104,12 @@ def verify_main_inequality(spec, domain):
     holds = (lhs >= 1) if applicable else None
     counterexample = bool(applicable and lhs < 1)
     return MainInequalityReport(
-        completeness, factors, lhs, applicable, holds, counterexample
+        completeness, tuple(factors), lhs, applicable, holds, counterexample
     )
 
 
-class R4GaussReport:
+class R4GaussReport(Record):
     __slots__ = ("completeness", "q1", "q2", "applicable", "holds", "note")
-
-    def __init__(self, completeness, q1, q2, applicable, holds, note):
-        object.__setattr__(self, "completeness", completeness)
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "q2", q2)
-        object.__setattr__(self, "applicable", applicable)
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "note", note)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("R4GaussReport is immutable")
-
-    def to_dict(self):
-        return {
-            "completeness": self.completeness.to_dict(),
-            "q1": self.q1,
-            "q2": self.q2,
-            "applicable": self.applicable,
-            "holds": self.holds,
-            "note": self.note,
-        }
 
 
 def r4_gauss_check(g1, g2, omega_hat, domain):
@@ -224,27 +157,8 @@ def lift_equivalence(q1, q2):
     return left, right
 
 
-class NonorientableCountReport:
+class NonorientableCountReport(Record):
     __slots__ = ("q1", "q2", "holds", "equality", "consistent")
-
-    def __init__(self, q1, q2, holds, equality, consistent):
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "q2", q2)
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "equality", equality)
-        object.__setattr__(self, "consistent", consistent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NonorientableCountReport is immutable")
-
-    def to_dict(self):
-        return {
-            "q1": self.q1,
-            "q2": self.q2,
-            "holds": self.holds,
-            "equality": self.equality,
-            "consistent": self.consistent,
-        }
 
 
 def nonorientable_check(q1, q2):
@@ -273,7 +187,7 @@ def nonorientable_check(q1, q2):
 COEFF_BOUND = 3
 
 
-class FalsifyBounds:
+class FalsifyBounds(Record):
     """Instance-shape bounds for the random harness."""
 
     __slots__ = ("puncture_range", "m_range", "require_complete")
@@ -284,12 +198,7 @@ class FalsifyBounds:
                 raise DomainError("empty or negative bound range")
         if puncture_range[0] < 1:
             raise DomainError("need at least one puncture")
-        object.__setattr__(self, "puncture_range", tuple(puncture_range))
-        object.__setattr__(self, "m_range", tuple(m_range))
-        object.__setattr__(self, "require_complete", bool(require_complete))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FalsifyBounds is immutable")
+        super().__init__(tuple(puncture_range), tuple(m_range), bool(require_complete))
 
 
 def _draw_punctures(rng, count):
@@ -352,38 +261,10 @@ def _draw_instance(rng, bounds):
     return spec, PuncturedPlane(punctures)
 
 
-class FalsifyRow:
+class FalsifyRow(Record):
     __slots__ = (
-        "index",
-        "punctures",
-        "ms",
-        "qs",
-        "complete",
-        "lhs",
-        "applicable",
-        "holds",
-        "counterexample",
+        "index", "punctures", "m", "q", "complete", "lhs", "applicable", "holds", "counterexample"
     )
-
-    def __init__(self, index, punctures, ms, qs, complete, lhs, applicable, holds, counterexample):
-        for name, val in zip(self.__slots__, (index, punctures, ms, qs, complete, lhs, applicable, holds, counterexample)):
-            object.__setattr__(self, name, val)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FalsifyRow is immutable")
-
-    def to_dict(self):
-        return {
-            "index": self.index,
-            "punctures": self.punctures,
-            "m": self.ms,
-            "q": self.qs,
-            "complete": self.complete,
-            "lhs": self.lhs,
-            "applicable": self.applicable,
-            "holds": self.holds,
-            "counterexample": self.counterexample,
-        }
 
 
 def _run_one(seed, index, bounds):
@@ -398,17 +279,16 @@ def _run_one(seed, index, bounds):
             break
     else:
         raise InfeasibleSampling(f"falsify instance {index}: no complete metric in {attempts} draws")
-    qs = [f.q for f in report.factors if not f.constant]
     return FalsifyRow(
-        index=index,
-        punctures=[format_point(SpherePoint(p)) for p in domain.punctures],
-        ms=[m for _, m in spec.factors],
-        qs=qs,
-        complete=report.completeness.overall,
-        lhs=None if report.lhs is None else str(report.lhs),
-        applicable=report.applicable,
-        holds=report.holds,
-        counterexample=report.counterexample,
+        index,
+        [format_point(SpherePoint(p)) for p in domain.punctures],
+        [m for _, m in spec.factors],
+        [f.q for f in report.factors if not f.constant],
+        report.completeness.overall,
+        None if report.lhs is None else str(report.lhs),
+        report.applicable,
+        report.holds,
+        report.counterexample,
     )
 
 

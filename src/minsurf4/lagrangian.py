@@ -20,22 +20,18 @@ from .gaussmap import exceptional_values
 from .metric import MetricSpec, is_complete
 from .poly import Polynomial, gcd, multiplicity_at, roots
 from .rational import RationalFunction
+from .report import Record
 from .scalars import to_complex
-from .sphere import format_point
 
 
-class HolomorphicPair:
+class HolomorphicPair(Record):
     __slots__ = ("F1", "F2")
 
     def __init__(self, F1, F2):
         for F in (F1, F2):
             if not isinstance(F, RationalFunction):
                 raise DomainError("pair components must be rational functions")
-        object.__setattr__(self, "F1", F1)
-        object.__setattr__(self, "F2", F2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HolomorphicPair is immutable")
+        super().__init__(F1, F2)
 
 
 def spinors(pair):
@@ -43,28 +39,19 @@ def spinors(pair):
     return pair.F2.derivative(), -pair.F1.derivative()
 
 
-class LagrangianSpec:
+class LagrangianSpec(Record):
     """Spinors plus angle; the pair is kept when available so the immersion
     itself can be evaluated. Specs built from spinors alone still support
     the metric, curvature and the omitted-value bound."""
 
     __slots__ = ("pair", "beta", "S1", "S2")
 
-    def __init__(self, pair, beta, S1, S2):
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "beta", float(beta))
-        object.__setattr__(self, "S1", S1)
-        object.__setattr__(self, "S2", S2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LagrangianSpec is immutable")
-
     @classmethod
     def from_pair(cls, pair, beta=0.0):
         if not isinstance(pair, HolomorphicPair):
             pair = HolomorphicPair(*pair)
         s1, s2 = spinors(pair)
-        return cls(pair, beta, s1, s2)
+        return cls(pair, float(beta), s1, s2)
 
     @classmethod
     def from_spinors(cls, S1, S2):
@@ -176,11 +163,10 @@ def _finite(value, name, z):
 
 def metric_spec(spec):
     """The conformal metric of the surface as factor data: (1+|g|^2)|S1|^2
-    with g = -S2/S1."""
+    with g = -S2/S1, the one place the Gauss component g is built."""
     if spec.S1.is_zero():
         raise DomainError("S1 vanishes identically; use the plane report")
-    g = -spec.S2 / spec.S1
-    return MetricSpec([(g, 1)], spec.S1)
+    return MetricSpec([(-spec.S2 / spec.S1, 1)], spec.S1)
 
 
 def _stencil_vals(fn, z, h):
@@ -229,47 +215,16 @@ def lagrangian_minimality_check(spec, z, h=STENCIL_H, drop_phase_coord=None):
 def gauss_components(spec):
     """The pair (g, e^{i beta}) attached to the surface; the constant second
     component is reported raw."""
-    if spec.S1.is_zero():
-        g = None
-    else:
-        g = -spec.S2 / spec.S1
+    g = None if spec.S1.is_zero() else metric_spec(spec).factors[0][0]
     return g, cmath.exp(1j * spec.beta)
 
 
-class CorollaryBoundReport:
-    __slots__ = (
-        "applicable",
-        "reason",
-        "completeness",
-        "q",
-        "omitted",
-        "bound_holds",
-    )
+class CorollaryBoundReport(Record):
+    __slots__ = ("applicable", "reason", "completeness", "q", "omitted", "bound_holds")
 
-    def __init__(self, applicable, reason, completeness=None, q=None, omitted=None, bound_holds=None):
-        object.__setattr__(self, "applicable", applicable)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "completeness", completeness)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "omitted", omitted)
-        object.__setattr__(self, "bound_holds", bound_holds)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CorollaryBoundReport is immutable")
-
-    def to_dict(self):
-        return {
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "completeness": None
-            if self.completeness is None
-            else self.completeness.to_dict(),
-            "q": self.q,
-            "omitted": None
-            if self.omitted is None
-            else [format_point(v) for v in self.omitted],
-            "bound_holds": self.bound_holds,
-        }
+def _not_applicable(reason, completeness):
+    return CorollaryBoundReport(False, reason, completeness, None, None, None)
 
 
 def _pole_in_domain(spec, domain):
@@ -297,18 +252,14 @@ def corollary_bound_check(spec, domain):
     pole = _pole_in_domain(spec, domain)
     if pole is not None:
         reason = f"not-applicable: pole of the spinors at z = {pole:.6g} in the domain"
-        return CorollaryBoundReport(False, reason)
-    if spec.S1.is_zero():
-        return CorollaryBoundReport(False, "not-applicable: Lagrangian plane case")
-    g = -spec.S2 / spec.S1
-    if g.is_constant():
-        return CorollaryBoundReport(False, "not-applicable: Lagrangian plane case")
-    m = MetricSpec([(g, 1)], spec.S1)
-    completeness = is_complete(m, domain)
+        return _not_applicable(reason, None)
+    metric = None if spec.S1.is_zero() else metric_spec(spec)
+    g = None if metric is None else metric.factors[0][0]
+    if g is None or g.is_constant():
+        return _not_applicable("not-applicable: Lagrangian plane case", None)
+    completeness = is_complete(metric, domain)
     if completeness.overall is not True:
-        return CorollaryBoundReport(
-            False, "hypothesis-failed: metric incomplete", completeness
-        )
+        return _not_applicable("hypothesis-failed: metric incomplete", completeness)
     omitted = exceptional_values(g, domain)
     q = len(omitted)
     return CorollaryBoundReport(

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .poly import Polynomial, conj_reflect, float_point, format_terms, horner, parse_terms
+from .report import Immutable
 from .scalars import as_scalar
 
 
-class LaurentPoly:
+class LaurentPoly(Immutable):
     """z^lo * poly; coeffs is a Polynomial or ascending coefficients from z^lo."""
 
     __slots__ = ("lo", "poly")
@@ -28,9 +29,6 @@ class LaurentPoly:
             poly = Polynomial(vals[k:])
         object.__setattr__(self, "lo", lo + k if vals else 0)
         object.__setattr__(self, "poly", poly)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     @property
     def coeffs(self):

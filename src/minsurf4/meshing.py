@@ -6,20 +6,19 @@ attribute line per vertex.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import warnings
 
 from .errors import DomainError, IrregularData
 from .poly import roots
-from .report import write_text_atomic
+from .report import Record
 from .scalars import to_complex
 from .weierstrass import _immerse, check_regularity
 
 FLOAT_FMT = "%.17g"
 
 
-class Mesh:
+class Mesh(Record):
     __slots__ = ("vertices", "faces", "metadata")
 
     def __init__(self, vertices, faces, metadata=None):
@@ -36,12 +35,7 @@ class Mesh:
                 raise DomainError("faces are triangles")
             if any(not 0 <= i < n for i in f):
                 raise DomainError("face index out of range")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "metadata", dict(metadata or {}))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mesh is immutable")
+        super().__init__(vertices, faces, dict(metadata or {}))
 
 
 def mesh_text(mesh):
@@ -58,15 +52,6 @@ def mesh_text(mesh):
     for f in mesh.faces:
         lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
     return "\n".join(lines) + "\n"
-
-
-def write_mesh(mesh, path):
-    """Atomic write; returns the sha256 of the written bytes."""
-    return write_text_atomic(path, mesh_text(mesh))
-
-
-def mesh_hash(mesh):
-    return hashlib.sha256(mesh_text(mesh).encode("ascii")).hexdigest()
 
 
 # -- structured grids ---------------------------------------------------------------
@@ -132,7 +117,7 @@ def _singular_locus(domain, poles):
     return dedup
 
 
-def export_mesh(p, domain, grid, base, path=None):
+def export_mesh(p, domain, grid, base):
     """Immerse a structured grid and triangulate it.
 
     grid is (points, faces) from one of the builders. Irregular data is
@@ -162,8 +147,4 @@ def export_mesh(p, domain, grid, base, path=None):
     for f in faces:
         if all(i in index_map for i in f):
             new_faces.append(tuple(index_map[i] for i in f))
-    mesh = Mesh(xs, new_faces, {"skipped-points": skipped})
-    if path is not None:
-        digest = write_mesh(mesh, path)
-        mesh.metadata["written-sha256"] = digest
-    return mesh
+    return Mesh(xs, new_faces, {"skipped-points": skipped})

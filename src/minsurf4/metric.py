@@ -25,6 +25,7 @@ from fractions import Fraction
 from .errors import BadStencil, DomainError, ExponentUndefined
 from .domains import AT_INFINITY, INNER_CIRCLE, OUTER_CIRCLE, BoundaryPoint
 from .rational import INF, RationalFunction
+from .report import Record
 from .scalars import as_scalar, is_exact, to_complex
 from .sphere import SpherePoint
 
@@ -37,7 +38,7 @@ COMPLETENESS_RULE = (
 )
 
 
-class MetricSpec:
+class MetricSpec(Record):
     """Factors (g_i, m_i) with integer weights m_i >= 0 and a 1-form omega_hat."""
 
     __slots__ = ("factors", "omega_hat")
@@ -52,11 +53,7 @@ class MetricSpec:
             facs.append((g, m))
         if not isinstance(omega_hat, RationalFunction) or omega_hat.is_zero():
             raise DomainError("omega_hat must be a nonzero rational function")
-        object.__setattr__(self, "factors", tuple(facs))
-        object.__setattr__(self, "omega_hat", omega_hat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MetricSpec is immutable")
+        super().__init__(tuple(facs), omega_hat)
 
 
 def conformal_factor(spec, z):
@@ -127,43 +124,15 @@ def boundary_exponent(spec, boundary):
     return exponent_at(spec, as_scalar(boundary))
 
 
-class CompletenessEntry:
-    __slots__ = ("label", "kind", "sigma", "complete")
-
-    def __init__(self, label, kind, sigma, complete):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "complete", complete)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CompletenessEntry is immutable")
-
-    def to_dict(self):
-        return {
-            "boundary": self.label,
-            "kind": self.kind,
-            "sigma": self.sigma,
-            "complete": self.complete,
-        }
+class CompletenessEntry(Record):
+    __slots__ = ("boundary", "kind", "sigma", "complete")
 
 
-class CompletenessReport:
+class CompletenessReport(Record):
     __slots__ = ("entries", "overall")
 
-    def __init__(self, entries, overall):
-        object.__setattr__(self, "entries", tuple(entries))
-        object.__setattr__(self, "overall", overall)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CompletenessReport is immutable")
-
     def to_dict(self):
-        return {
-            "entries": [e.to_dict() for e in self.entries],
-            "overall": self.overall,
-            "rationale": COMPLETENESS_RULE,
-        }
+        return {**super().to_dict(), "rationale": COMPLETENESS_RULE}
 
 
 def is_complete(spec, domain):
@@ -189,7 +158,7 @@ def is_complete(spec, domain):
         overall = None
     else:
         overall = all(decided)
-    return CompletenessReport(entries, overall)
+    return CompletenessReport(tuple(entries), overall)
 
 
 def gauss_curvature_numeric(spec, z, h=1e-3):

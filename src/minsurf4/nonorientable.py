@@ -31,28 +31,19 @@ from .laurent import LaurentPoly, format_laurent
 from .meshing import Mesh
 from .poly import Polynomial, roots
 from .rational import RationalFunction
+from .report import Record, jsonable
 from .scalars import GaussianRational, as_scalar, format_scalar, is_exact, to_complex
 from .sphere import SpherePoint, dedupe_points, format_point, missing_antipode, rp2_count
 
 
-class InvolutionSpec:
-    """I(z) = -1/conj(z); fixed-point-free since |z|^2 = -1 has no solution."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def apply(z):
-        if is_exact(z):
-            v = as_scalar(z)
-            if not v:
-                raise ZeroDivisionError("involution undefined at 0")
-            return -(GaussianRational(1) / v.conjugate())
-        zz = to_complex(z)
-        return -1.0 / zz.conjugate()
-
-
 def involution(z):
-    return InvolutionSpec.apply(z)
+    """I(z) = -1/conj(z); fixed-point-free since |z|^2 = -1 has no solution."""
+    if is_exact(z):
+        v = as_scalar(z)
+        if not v:
+            raise ZeroDivisionError("involution undefined at 0")
+        return -(GaussianRational(1) / v.conjugate())
+    return -1.0 / to_complex(z).conjugate()
 
 
 def check_weierstrass_symmetry(w):
@@ -90,7 +81,7 @@ def validate_symmetric_laurent(phi):
     return phi.i0_pullback() == -phi
 
 
-class SymmetricLaurentData:
+class SymmetricLaurentData(Record):
     """Four symmetric Laurent truncations phi_j, the forms being phi_j dz/z."""
 
     __slots__ = ("phi",)
@@ -105,10 +96,7 @@ class SymmetricLaurentData:
         bad = [j for j, p in enumerate(phi) if not validate_symmetric_laurent(p)]
         if bad:
             raise DomainError(f"components {bad} violate the symmetric coefficient pattern")
-        object.__setattr__(self, "phi", phi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymmetricLaurentData is immutable")
+        super().__init__(phi)
 
     def a0(self):
         return tuple(p.coeff(0) for p in self.phi)
@@ -117,21 +105,11 @@ class SymmetricLaurentData:
         return max((max(abs(p.lo), abs(p.hi)) for p in self.phi if not p.is_zero()), default=0)
 
 
-class FCandidate:
+class FCandidate(Record):
     """f(z) = sum_{n=1}^m (b_n z^n + (-1)^n conj(b_n) z^{-n}), zero-free on
     the unit circle; root moduli of z^m f are kept for the annulus checks."""
 
     __slots__ = ("b", "m", "f", "root_moduli", "circle_min")
-
-    def __init__(self, b, m, f, root_moduli, circle_min):
-        object.__setattr__(self, "b", tuple(b))
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "root_moduli", tuple(root_moduli))
-        object.__setattr__(self, "circle_min", circle_min)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FCandidate is immutable")
 
 
 def f_from_coefficients(b):
@@ -208,7 +186,7 @@ def build_f(b):
         raise ConditionViolation(
             f"circle sweep found |f| as small as {cmin:.3g} despite root check"
         )
-    return FCandidate(b, m, f, sorted(moduli), cmin)
+    return FCandidate(tuple(b), m, f, tuple(sorted(moduli)), cmin)
 
 
 def validate_symmetric_f(f):
@@ -216,7 +194,7 @@ def validate_symmetric_f(f):
     return f.i0_pullback() == f
 
 
-class CoverSpec:
+class CoverSpec(Record):
     """Odd covering degree k with k > m of the paired f-candidate."""
 
     __slots__ = ("k", "m")
@@ -230,11 +208,7 @@ class CoverSpec:
             raise DomainError("m must be a positive integer")
         if k <= m:
             raise DomainError(f"need k > m, got k = {k}, m = {m}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "m", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoverSpec is immutable")
+        super().__init__(k, m)
 
 
 def residue_condition(phi, f, k):
@@ -270,22 +244,13 @@ def pullback_psi(data, f, cover):
     return tuple(psis), symmetric
 
 
-class FBounds:
+class FBounds(Record):
     __slots__ = ("c", "min_mod", "max_mod", "k")
 
     def __init__(self, c, min_mod, max_mod, k):
         if min_mod <= 0:
             raise DomainError("min modulus must be positive")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "min_mod", min_mod)
-        object.__setattr__(self, "max_mod", max_mod)
-        object.__setattr__(self, "k", k)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FBounds is immutable")
-
-    def to_dict(self):
-        return {"c": self.c, "min_mod": self.min_mod, "max_mod": self.max_mod, "k": self.k}
+        super().__init__(c, min_mod, max_mod, k)
 
 
 K_SEARCH_CAP = 99
@@ -345,44 +310,18 @@ def f_bounds(f, R, k, cap=K_SEARCH_CAP):
 # -- assembly ---------------------------------------------------------------------
 
 
-class StageResult:
-    __slots__ = ("name", "status", "details")
-
-    def __init__(self, name, status, details=None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "details", dict(details or {}))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StageResult is immutable")
-
-    def to_dict(self):
-        return {"stage": self.name, "status": self.status, "details": self.details}
+class StageResult(Record):
+    __slots__ = ("stage", "status", "details")
 
 
-class MoebiusReport:
+class MoebiusReport(Record):
     __slots__ = ("stages", "passed", "failed_stage", "k_declared", "k_used", "mesh")
 
-    def __init__(self, stages, passed, failed_stage, k_declared, k_used, mesh=None):
-        object.__setattr__(self, "stages", tuple(stages))
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "failed_stage", failed_stage)
-        object.__setattr__(self, "k_declared", k_declared)
-        object.__setattr__(self, "k_used", k_used)
-        object.__setattr__(self, "mesh", mesh)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MoebiusReport is immutable")
-
     def to_dict(self):
-        return {
-            "stages": [s.to_dict() for s in self.stages],
-            "passed": self.passed,
-            "failed_stage": self.failed_stage,
-            "k_declared": self.k_declared,
-            "k_used": self.k_used,
-            "mesh": None if self.mesh is None else self.mesh.metadata,
-        }
+        """The mesh goes to its own file; the report keeps its metadata."""
+        out = {name: jsonable(getattr(self, name)) for name in self.__slots__ if name != "mesh"}
+        out["mesh"] = None if self.mesh is None else self.mesh.metadata
+        return out
 
 
 def _sandwich_samples(rho, n, seed):
@@ -497,7 +436,7 @@ def assemble_report(
         stages.append(StageResult(name, "failed", details))
 
     def ok(name, details=None):
-        stages.append(StageResult(name, "passed", details))
+        stages.append(StageResult(name, "passed", details or {}))
 
     # stage: f construction (accepts prebuilt candidates)
     if failed is None:
@@ -626,11 +565,4 @@ def assemble_report(
         except DomainError as e:
             fail("mesh", {"error": str(e)})
 
-    return MoebiusReport(
-        stages,
-        failed is None,
-        failed,
-        k_declared=k,
-        k_used=k_used,
-        mesh=mesh,
-    )
+    return MoebiusReport(tuple(stages), failed is None, failed, k, k_used, mesh)

@@ -28,6 +28,7 @@ import re
 from fractions import Fraction
 
 from .errors import DomainError, RequiresExactMode
+from .report import Immutable
 from .scalars import GaussianRational, as_scalar, format_scalar, is_exact, parse_scalar, to_complex
 
 
@@ -59,7 +60,7 @@ def horner(ccoeffs, z):
     return acc
 
 
-class Polynomial:
+class Polynomial(Immutable):
     # _ccoeffs: the complex coefficient tuple, built on first float use
     __slots__ = ("coeffs", "_ccoeffs")
 
@@ -69,9 +70,6 @@ class Polynomial:
             vals.pop()
         object.__setattr__(self, "coeffs", tuple(vals))
         object.__setattr__(self, "_ccoeffs", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def from_dict(cls, terms):

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from .errors import DomainError, UnsupportedPoint
 from .poly import Polynomial, conj_reflect, format_poly, gcd, multiplicity_at, parse_poly
+from .report import Immutable
 from .scalars import GaussianRational, as_scalar, is_exact
 
 INF = object()  # marker for the point at infinity in order bookkeeping
 
 
-class RationalFunction:
+class RationalFunction(Immutable):
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
@@ -38,9 +39,6 @@ class RationalFunction:
             den = Polynomial([1])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
 
     @classmethod
     def constant(cls, c):
@@ -273,7 +271,7 @@ def _series_div(num, den, nterms):
 # -- Moebius transforms --------------------------------------------------------
 
 
-class MoebiusTransform:
+class MoebiusTransform(Immutable):
     """(a z + b) / (c z + d) with nonzero determinant."""
 
     __slots__ = ("a", "b", "c", "d")
@@ -285,9 +283,6 @@ class MoebiusTransform:
             raise DomainError("singular Moebius transform")
         for name, val in zip(("a", "b", "c", "d"), (a, b, c, d)):
             object.__setattr__(self, name, val)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MoebiusTransform is immutable")
 
     def as_rational(self):
         return RationalFunction(Polynomial([self.b, self.a]), Polynomial([self.d, self.c]))

@@ -1,8 +1,19 @@
-"""Deterministic report artifacts: canonical JSON, CSV rows, atomic writes.
+"""Deterministic report artifacts: canonical JSON, CSV rows, atomic writes,
+and the one record and serialization mechanism of the package.
 
 Reports carry no timestamps or environment data; identical inputs give
 byte-identical output. Every report embeds the sha256 of the config text it
 was produced from and the tolerance set actually used.
+
+`Immutable` is the only attribute guard: every value type of the package
+inherits it. `Record` adds the only generic constructor and serializer:
+positional values bound to `__slots__` in order, and `to_dict` mapping each
+field name to `jsonable(value)`. A record overrides `to_dict` only where its
+artifact's shape differs from its fields. The exact-algebra types normalise
+their input on every arithmetic step, so they keep their own constructors
+and inherit only the guard. Both classes are hand-written rather than
+dataclasses, which would add their import and class-building cost to the
+start of every command.
 """
 
 from __future__ import annotations
@@ -79,6 +90,28 @@ def write_text_atomic(path, text):
         os.unlink(tmp)
         raise
     return hashlib.sha256(data).hexdigest()
+
+
+class Immutable:
+    """Instances refuse attribute assignment after construction."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Record(Immutable):
+    """An immutable record whose fields are its class's `__slots__`."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def to_dict(self):
+        return {name: jsonable(getattr(self, name)) for name in self.__slots__}
 
 
 def jsonable(value):

@@ -12,6 +12,7 @@ import re
 from fractions import Fraction
 
 from .errors import RequiresExactMode
+from .report import Immutable
 
 # real part must be followed by a sign or the end, so "3i" parses as imaginary
 _FRAC = r"[+-]?\d+(?:/\d+)?"
@@ -21,7 +22,7 @@ _TERM_RE = re.compile(
 )
 
 
-class GaussianRational:
+class GaussianRational(Immutable):
     """Complex number with exact rational real and imaginary parts."""
 
     __slots__ = ("re", "im")
@@ -31,9 +32,6 @@ class GaussianRational:
             raise RequiresExactMode("floats do not promote to exact scalars")
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -12,10 +12,11 @@ import math
 import warnings
 
 from .errors import DomainError
+from .report import Immutable
 from .scalars import GaussianRational, as_scalar, format_scalar, to_complex
 
 
-class SpherePoint:
+class SpherePoint(Immutable):
     """A point of C union {infinity}; value is None exactly at infinity, and
     otherwise a GaussianRational (a float value raises RequiresExactMode)."""
 
@@ -26,9 +27,6 @@ class SpherePoint:
             object.__setattr__(self, "value", None)
         else:
             object.__setattr__(self, "value", as_scalar(value))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpherePoint is immutable")
 
     @classmethod
     def infinity(cls):
@@ -122,7 +120,7 @@ def _in_upper_half(v):
     return v.im > 0 or (v.im == 0 and v.re > 0)
 
 
-class RP2Point:
+class RP2Point(Immutable):
     """Antipodal pair {p, -1/conj(p)} keyed by its canonical representative.
 
     Canonical choice: the member of modulus < 1; ties on the unit circle go to
@@ -133,9 +131,6 @@ class RP2Point:
 
     def __init__(self, p):
         object.__setattr__(self, "rep", _canonical_rep(SpherePoint.of(p)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RP2Point is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, RP2Point):

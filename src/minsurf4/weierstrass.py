@@ -24,6 +24,7 @@ from .errors import DegenerateFrame, DomainError, InvalidPath, MultivaluedImmers
 from .domains import Annulus, PuncturedPlane
 from .poly import clear_denominators, gcd_many, horner, roots, zi_mul
 from .rational import RationalFunction, _series_div, _taylor_at
+from .report import Record, jsonable
 from .scalars import GaussianRational, to_complex
 from .sphere import SpherePoint, format_point
 
@@ -31,7 +32,7 @@ I_HALF = GaussianRational(0, "1/2")
 HALF = GaussianRational("1/2")
 
 
-class WeierstrassData:
+class WeierstrassData(Record):
     __slots__ = ("g1", "g2", "omega_hat")
 
     def __init__(self, g1, g2, omega_hat):
@@ -40,12 +41,7 @@ class WeierstrassData:
                 raise DomainError("Weierstrass data must be rational functions")
         if omega_hat.is_zero():
             raise DomainError("omega_hat must not vanish identically")
-        object.__setattr__(self, "g1", g1)
-        object.__setattr__(self, "g2", g2)
-        object.__setattr__(self, "omega_hat", omega_hat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeierstrassData is immutable")
+        super().__init__(g1, g2, omega_hat)
 
     def __eq__(self, other):
         if not isinstance(other, WeierstrassData):
@@ -60,7 +56,7 @@ class WeierstrassData:
         return f"WeierstrassData(g1={self.g1}, g2={self.g2}, omega_hat={self.omega_hat})"
 
 
-class PhiForms:
+class PhiForms(Record):
     """Coefficient functions of the four coordinate 1-forms phi_j dz.
 
     The constructor rejects the all-zero quadruple; the conformality identity
@@ -79,10 +75,7 @@ class PhiForms:
                 raise DomainError("forms must be rational functions")
         if all(p.is_zero() for p in phi):
             raise DomainError("all four forms vanish identically")
-        object.__setattr__(self, "phi", phi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PhiForms is immutable")
+        super().__init__(phi)
 
     def __eq__(self, other):
         if not isinstance(other, PhiForms):
@@ -143,21 +136,12 @@ def check_conformality(p):
     return not any(total_r) and not any(total_i)
 
 
-class RegularityReport:
+class RegularityReport(Record):
     __slots__ = ("regular", "branch_points")
 
-    def __init__(self, regular, branch_points):
-        object.__setattr__(self, "regular", regular)
-        object.__setattr__(self, "branch_points", tuple(branch_points))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RegularityReport is immutable")
-
     def to_dict(self):
-        return {
-            "regular": self.regular,
-            "branch_points": [f"{z.real!r}{z.imag:+}j" for z in self.branch_points],
-        }
+        points = [f"{z.real!r}{z.imag:+}j" for z in self.branch_points]
+        return {**super().to_dict(), "branch_points": points}
 
 
 def _inside(domain, z):
@@ -184,8 +168,8 @@ def check_regularity(p, domain):
     """
     g = gcd_many([phi.num for phi in p.phi])
     if g.degree <= 0:
-        return RegularityReport(True, [])
-    offenders = [z for z, _ in roots(g) if _inside(domain, z)]
+        return RegularityReport(True, ())
+    offenders = tuple(z for z, _ in roots(g) if _inside(domain, z))
     return RegularityReport(not offenders, offenders)
 
 
@@ -208,26 +192,12 @@ def induced_metric_identity(p, samples):
     return worst
 
 
-class PeriodReport:
+class PeriodReport(Record):
     __slots__ = ("residues", "well_defined")
 
-    def __init__(self, residues, well_defined):
-        object.__setattr__(self, "residues", tuple(residues))
-        object.__setattr__(self, "well_defined", well_defined)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PeriodReport is immutable")
-
     def to_dict(self):
-        out = []
-        for label, res in self.residues:
-            out.append(
-                {
-                    "puncture": label,
-                    "residues": [str(r) for r in res],
-                }
-            )
-        return {"per_puncture": out, "well_defined": self.well_defined}
+        rows = [{"puncture": label, "residues": jsonable(res)} for label, res in self.residues]
+        return {"per_puncture": rows, "well_defined": self.well_defined}
 
 
 def period_residues(p, domain):
@@ -241,7 +211,7 @@ def period_residues(p, domain):
         res = tuple(phi.residue_at(q) for phi in p.phi)
         ok = ok and all(r.im == 0 for r in res)
         rows.append((format_point(SpherePoint(q)), res))
-    return PeriodReport(rows, ok)
+    return PeriodReport(tuple(rows), ok)
 
 
 # -- closed-form primitives ----------------------------------------------------------

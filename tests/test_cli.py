@@ -191,7 +191,7 @@ def test_lagrangian_bound_violation_exits_2(monkeypatch, capsys):
     from minsurf4.lagrangian import CorollaryBoundReport
 
     monkeypatch.setattr(
-        cli, "corollary_bound_check", lambda spec, domain: CorollaryBoundReport(True, "complete", q=4, bound_holds=False)
+        cli, "corollary_bound_check", lambda spec, domain: CorollaryBoundReport(True, "complete", None, 4, None, False)
     )
     code, out, _ = _run(["lagrangian", "--config", str(CONFIG_DIR / "lagrangian-parabola.json")], capsys)
     assert code == 2
@@ -291,7 +291,7 @@ def _negative_verdicts(monkeypatch):
 
     monkeypatch.setattr(cli, "_verdict", lambda rep: "COUNTEREXAMPLE")
     monkeypatch.setattr(cli, "falsify", lambda seed, n, bounds: ({"counterexamples": 1}, []))
-    over_bound = CorollaryBoundReport(True, "complete", q=4, bound_holds=False)
+    over_bound = CorollaryBoundReport(True, "complete", None, 4, None, False)
     monkeypatch.setattr(cli, "corollary_bound_check", lambda spec, domain: over_bound)
 
 
@@ -413,6 +413,7 @@ def test_mesh_export_hash_consistency(tmp_path, capsys):
     assert rep["results"]["periods_well_defined"] is True
     mesh_bytes = (out_dir / "catenoid.mesh").read_bytes()
     assert hashlib.sha256(mesh_bytes).hexdigest() == rep["results"]["mesh_sha256"]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["catenoid.mesh", "mesh.json"]
 
 
 def test_seed_changes_falsify_draws(capsys):
@@ -531,8 +532,9 @@ def test_installed_console_script():
 
 
 # Every exact command, and the exact round trip of Weierstrass data, run in a
-# child interpreter that must never import numpy; `mesh` builds float arrays
-# and must import it, so the check cannot pass vacuously.
+# child interpreter that must never import numpy, nor dataclasses or inspect,
+# whose import cost would land on every command's start; `mesh` builds float
+# arrays and must import numpy, so the check cannot pass vacuously.
 _EXACT_WORK = f"""
 import sys
 import minsurf4
@@ -555,14 +557,14 @@ p = phis_from_data(w)
 assert check_conformality(p)
 assert data_from_phis(p) == w
 assert len(p.eval(0.5 + 0.25j)) == 4
-print("numpy" in sys.modules, file=sys.stderr)
+print(sorted({{"numpy", "dataclasses", "inspect"}} & set(sys.modules)), file=sys.stderr)
 """
 
 
 def test_exact_commands_do_not_import_numpy(tmp_path):
     proc = _python_subprocess(["-c", _EXACT_WORK], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip() == "False"
+    assert proc.stderr.strip() == "[]"
 
 
 def test_mesh_imports_numpy(tmp_path):

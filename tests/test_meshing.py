@@ -1,7 +1,6 @@
 """Structured grids, deterministic mesh text, and surface export."""
 
 import cmath
-import hashlib
 
 import pytest
 
@@ -11,10 +10,8 @@ from minsurf4.meshing import (
     Mesh,
     annulus_grid,
     export_mesh,
-    mesh_hash,
     mesh_text,
     plane_grid,
-    write_mesh,
 )
 from minsurf4.rational import RationalFunction
 from minsurf4.scalars import GaussianRational
@@ -67,21 +64,6 @@ def test_mesh_text_deterministic():
     assert "tag" in t1
 
 
-def test_mesh_hash_matches_text():
-    mesh = Mesh([(0.0, 1.0, 2.0, 3.0)], [], {})
-    digest = hashlib.sha256(mesh_text(mesh).encode("utf-8")).hexdigest()
-    assert mesh_hash(mesh) == digest
-
-
-def test_write_mesh(tmp_path):
-    mesh = Mesh([(0.0, 1.0, 2.0, 3.0)], [], {"note": "t"})
-    path = tmp_path / "m.mesh"
-    digest = write_mesh(mesh, str(path))
-    text = path.read_text()
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
-    assert [p.name for p in tmp_path.iterdir()] == ["m.mesh"]
-
-
 def test_export_mesh_deterministic():
     phis = _catenoid_phis()
     domain = PuncturedPlane([GaussianRational(0)])
@@ -122,15 +104,3 @@ def test_export_mesh_refuses_irregular():
     grid = plane_grid((2, 3), (2, 3), 3, 3)
     with pytest.raises(IrregularData):
         export_mesh(scaled, domain, grid, 2.5)
-
-
-def test_export_mesh_writes_file(tmp_path):
-    phis = _catenoid_phis()
-    domain = PuncturedPlane([GaussianRational(0)])
-    grid = annulus_grid(0.5, 2.0, 3, 8)
-    path = tmp_path / "cat.mesh"
-    mesh = export_mesh(phis, domain, grid, 1.0, path=str(path))
-    assert path.exists()
-    assert mesh.metadata["written-sha256"] == hashlib.sha256(
-        path.read_text().encode("utf-8")
-    ).hexdigest()

@@ -18,7 +18,6 @@ from minsurf4.laurent import LaurentPoly, parse_laurent
 from minsurf4.nonorientable import (
     CoverSpec,
     FBounds,
-    InvolutionSpec,
     SymmetricLaurentData,
     assemble_report,
     build_f,
@@ -83,12 +82,12 @@ def test_involution_basics():
 
 
 def test_involution_exact():
-    w = InvolutionSpec.apply(GaussianRational(2))
+    w = involution(GaussianRational(2))
     assert w == GaussianRational("-1/2")
     # -1/conj(i) = -1/(-i) = -i
-    assert InvolutionSpec.apply(GaussianRational(0, 1)) == GaussianRational(0, -1)
+    assert involution(GaussianRational(0, 1)) == GaussianRational(0, -1)
     with pytest.raises(ZeroDivisionError):
-        InvolutionSpec.apply(GaussianRational(0))
+        involution(GaussianRational(0))
 
 
 def test_involution_has_no_fixed_points():
@@ -98,7 +97,7 @@ def test_involution_has_no_fixed_points():
         z = GaussianRational(rng.randint(-5, 5), rng.randint(-5, 5))
         if not z:
             continue
-        assert InvolutionSpec.apply(z) != z
+        assert involution(z) != z
 
 
 def test_weierstrass_symmetry_positive_moebius_pair():
@@ -476,7 +475,7 @@ def test_assemble_report_shipped_passes():
     assert rep.failed_stage is None
     assert rep.k_declared == 3
     assert rep.k_used == 5
-    names = [s.name for s in rep.stages]
+    names = [s.stage for s in rep.stages]
     assert names == [
         "f-condition-c",
         "cover",
@@ -489,9 +488,9 @@ def test_assemble_report_shipped_passes():
         "rp2-count",
         "mesh",
     ]
-    fb = next(s for s in rep.stages if s.name == "f-bounds")
+    fb = next(s for s in rep.stages if s.stage == "f-bounds")
     assert fb.details["escalated_from"] == 3
-    rp2 = next(s for s in rep.stages if s.name == "rp2-count")
+    rp2 = next(s for s in rep.stages if s.stage == "rp2-count")
     assert rp2.details["g1"]["rp2_count"] == 1
     assert rep.mesh is not None
 
@@ -502,7 +501,7 @@ def test_assemble_report_coefficients_accepted():
         data, [GaussianRational(1), GaussianRational(1)], 3, 4.0, samples=100
     )
     assert rep.passed
-    skipped = [s.name for s in rep.stages if s.status == "skipped"]
+    skipped = [s.stage for s in rep.stages if s.status == "skipped"]
     assert "rp2-count" in skipped
 
 

@@ -1,12 +1,17 @@
-"""Report serialization: canonical JSON, CSV cells, atomic writes."""
+"""Report serialization: canonical JSON, CSV cells, atomic writes, and the
+immutable record base."""
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
+import minsurf4.cli
 from minsurf4.report import (
     SCHEMA_VERSION,
+    Immutable,
+    Record,
     build_report,
     canonical_json,
     config_hash,
@@ -15,6 +20,7 @@ from minsurf4.report import (
     write_text_atomic,
 )
 from minsurf4.scalars import GaussianRational
+from minsurf4.sphere import INFINITY, SpherePoint
 
 
 def test_canonical_json_is_sorted_and_newline_terminated():
@@ -81,9 +87,10 @@ def test_rows_to_csv_missing_keys_are_blank():
 
 def test_write_text_atomic(tmp_path):
     path = tmp_path / "out" / "report.json"
-    write_text_atomic(str(path), canonical_json({"k": 1}))
+    digest = write_text_atomic(str(path), canonical_json({"k": 1}))
     assert path.read_text() == '{\n  "k": 1\n}\n'
-    assert not (tmp_path / "out" / "report.json.tmp").exists()
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert [p.name for p in path.parent.iterdir()] == ["report.json"]
     write_text_atomic(str(path), "second\n")
     assert path.read_text() == "second\n"
 
@@ -135,3 +142,48 @@ def test_jsonable_numpy_scalars():
     out = jsonable({"x": np.float64(0.5), "n": np.int64(3)})
     assert out == {"x": 0.5, "n": 3}
     json.dumps(out)
+
+
+class _Pair(Record):
+    __slots__ = ("left", "right")
+
+
+def test_record_binds_values_to_slots_in_order():
+    pair = _Pair(1, "two")
+    assert (pair.left, pair.right) == (1, "two")
+    for values in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            _Pair(*values)
+
+
+def test_record_to_dict_is_jsonable_per_field():
+    pair = _Pair((SpherePoint(GaussianRational(0, 1)), INFINITY), {"lhs": Fraction(3, 2)})
+    assert pair.to_dict() == {"left": ["1i", "inf"], "right": {"lhs": "3/2"}}
+    assert jsonable([pair]) == [pair.to_dict()]
+
+
+def _subclasses(cls):
+    out = set()
+    for sub in cls.__subclasses__():
+        out |= {sub} | _subclasses(sub)
+    return out
+
+
+# `minsurf4.cli` loads every module of the package, so every subclass is listed
+IMMUTABLE_TYPES = sorted(
+    (c for c in _subclasses(Immutable) if c.__module__.startswith("minsurf4.")),
+    key=lambda c: (c.__module__, c.__name__),
+)
+
+
+def test_the_package_types_share_the_guard():
+    names = {c.__name__ for c in IMMUTABLE_TYPES}
+    assert {"Record", "GaussianRational", "Polynomial", "SpherePoint", "FalsifyRow", "RunConfig", "Mesh"} <= names
+
+
+@pytest.mark.parametrize("cls", IMMUTABLE_TYPES, ids=lambda c: c.__name__)
+def test_assignment_raises_naming_the_class(cls):
+    obj = object.__new__(cls)
+    for name in cls.__slots__ + ("unknown",):
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            setattr(obj, name, 0)

@@ -8,8 +8,10 @@ attribute by some top-level statement of `src/` or `tests/` other than its
 own definition. A method of a module-level class whose name does not start
 with `_` must be read or reached as an attribute somewhere in `src/` or
 `tests/` outside its own body; the match is by name alone, whatever the
-receiver. Only the standard library is used, so the check runs wherever the
-suite does.
+receiver. One record mechanism: only `report.Immutable` defines
+`__setattr__`, and only `report.Record` and the records whose artifact
+differs in shape from their fields define `to_dict`. Only the standard
+library is used, so the check runs wherever the suite does.
 """
 
 import ast
@@ -197,3 +199,59 @@ def test_one_exact_data_model():
         for line, mark in second_data_model(path.read_text(encoding="utf-8"))
     ]
     assert not found, "float coefficient data must not come back: " + ", ".join(found)
+
+
+def classes_defining(source, name):
+    """Sorted (line, class) for each class whose body defines `name`, by def
+    or by assignment, at any nesting depth."""
+    out = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            if name in names:
+                out.append((cls.lineno, cls.name))
+    return sorted(out)
+
+
+def test_the_check_sees_classes_defining_a_method():
+    source = (
+        "class A:\n    def __setattr__(self, n, v):\n        pass\n\n"
+        "class B:\n    __setattr__ = object.__setattr__\n\n"
+        "def f():\n    class C:\n        def to_dict(self):\n            pass\n    return C\n\n"
+        "class D:\n    def setattr(self):\n        self.__setattr__ = 1\n"
+    )
+    assert classes_defining(source, "__setattr__") == [(1, "A"), (5, "B")]
+    assert classes_defining(source, "to_dict") == [(9, "C")]
+
+
+def _definers(name):
+    return {
+        (path.name, cls)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, cls in classes_defining(path.read_text(encoding="utf-8"), name)
+    }
+
+
+def test_one_immutability_guard():
+    assert _definers("__setattr__") == {("report.py", "Immutable")}
+
+
+# The records whose artifact differs in shape from their fields.
+TO_DICT_OVERRIDES = {
+    ("metric.py", "CompletenessReport"),
+    ("nonorientable.py", "MoebiusReport"),
+    ("weierstrass.py", "PeriodReport"),
+    ("weierstrass.py", "RegularityReport"),
+}
+
+
+def test_one_serializer():
+    assert _definers("to_dict") == {("report.py", "Record")} | TO_DICT_OVERRIDES
