@@ -28,7 +28,7 @@ import sys
 from .config import ConfigError, load_config
 from .domains import PuncturedPlane, derive_rng
 from .errors import MinSurfError
-from .gaussmap import FalsifyBounds, exceptional_values, falsify, verify_main_inequality
+from .gaussmap import FalsifyBounds, falsify, verify_main_inequality
 from .lagrangian import (
     STENCIL_H,
     corollary_bound_check,
@@ -38,7 +38,7 @@ from .lagrangian import (
     nondegenerate,
 )
 from .meshing import annulus_grid, export_mesh, mesh_text, plane_grid
-from .metric import MetricSpec, is_complete
+from .metric import MetricSpec
 from .nonorientable import assemble_report
 from .poly import Polynomial
 from .rational import RationalFunction, format_rational
@@ -142,14 +142,10 @@ def cmd_gen_example(args):
     if any(x < 0 for x in m):
         raise ConfigError("--m entries must be nonnegative")
     spec, domain, raw = _gen_example_config(args.p, m)
-    completeness = is_complete(spec, domain)
     rep = verify_main_inequality(spec, domain)
-    qs = []
-    for g, _ in spec.factors:
-        qs.append(None if g.is_constant() else len(exceptional_values(g, domain)))
     results = {
-        "complete": completeness.overall,
-        "q": qs,
+        "complete": rep.completeness.overall,
+        "q": [f.q for f in rep.factors],
         "verdict": _verdict(rep),
         "inequality": rep.to_dict(),
     }

@@ -10,45 +10,46 @@ counterexamples; falsify hammers it with seeded random instances.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import ConstantMapError, DomainError, FlatSurfaceError, InfeasibleSampling
 from .domains import PuncturedPlane, derive_rng
 from .metric import MetricSpec, is_complete
-from .poly import Polynomial, multiplicity_at
-from .rational import INF, MoebiusTransform, RationalFunction
+from .poly import Polynomial, clear_denominators, clear_point, zi_multiplicity
+from .rational import INF, MoebiusTransform, RationalFunction, quotient_at
 from .report import Record
 from .scalars import GaussianRational
 from .sphere import INFINITY, SpherePoint, dedupe_points, format_point
 
 
-def _boundary_images(g, domain):
-    """Extended values of g at the punctures and at infinity."""
-    out = []
-    for p in domain.punctures:
-        inf_flag, val = g.eval_extended(p)
-        out.append(INFINITY if inf_flag else SpherePoint(val))
-    inf_flag, val = g.eval_extended(INF)
-    out.append(INFINITY if inf_flag else SpherePoint(val))
-    return out
-
-
-def _all_preimages_on_boundary(g, value, domain):
+def _all_preimages_on_boundary(num, den, value, points):
     """True iff every sphere preimage of value lies in punctures + infinity.
 
-    Preimages at infinity never count against omission (infinity is always a
-    boundary point of a punctured plane), so only the finite root content of
-    the defining polynomial matters: num - value*den, or den for infinity.
+    g = N/D with N, D the Gaussian-integer pairs of g's numerator and
+    denominator over their common denominator, and points the punctures
+    from `clear_point`. Preimages at infinity never count against omission
+    (infinity is always a boundary point of a punctured plane), so only the
+    finite roots of q matter: q = D for value infinity, and for
+    value = V/d_v, q = d_v N - V D, which is proportional to num - value*den
+    over the common denominator. Its degree drops below deg N when value is
+    g(infinity); the value is omitted iff the multiplicities of q at the
+    punctures add up to deg q.
     """
     if value.is_infinity:
-        q = g.den
+        q = den
     else:
-        q = g.num - Polynomial([value.value]) * g.den
-    if q.is_zero():
+        vr, vi, dv = clear_point(value.value)
+        zero = (0, 0)
+        q = [
+            (dv * nr - vr * dr + vi * di, dv * ni - vr * di - vi * dr)
+            for (nr, ni), (dr, di) in zip_longest(num, den, fillvalue=zero)
+        ]
+        while q and q[-1] == zero:
+            q.pop()
+    if not q:
         raise ConstantMapError("map is identically the tested value")
-    if q.degree <= 0:
-        return True
-    covered = sum(multiplicity_at(q, p) for p in domain.punctures)
-    return covered == q.degree
+    degree = len(q) - 1
+    return degree == 0 or sum(zi_multiplicity(q, *pt) for pt in points) == degree
 
 
 def exceptional_values(g, domain):
@@ -57,16 +58,18 @@ def exceptional_values(g, domain):
     A value can only be omitted if it is a boundary image, so candidates are
     the extended values of g at the punctures and at infinity; each candidate
     is kept when all of its preimages lie on the boundary, which exact
-    multiplicities at the punctures decide; the answer is exact.
+    multiplicities at the punctures decide; the answer is exact. g and the
+    punctures are cleared to Gaussian integers once, for all candidates.
     """
     if not isinstance(domain, PuncturedPlane):
         raise DomainError("exceptional-value analysis needs a punctured plane")
     if g.is_constant():
         raise ConstantMapError("constant maps have no exceptional-value count")
-    candidates = dedupe_points(_boundary_images(g, domain))
-    omitted = [
-        v for v in candidates if _all_preimages_on_boundary(g, v, domain)
-    ]
+    _, (num, den) = clear_denominators(g.num, g.den)
+    points = [clear_point(p) for p in domain.punctures]
+    images = [quotient_at(num, den, pt) for pt in points] + [g.eval_extended(INF)]
+    candidates = dedupe_points(INFINITY if inf_flag else SpherePoint(val) for inf_flag, val in images)
+    omitted = [v for v in candidates if _all_preimages_on_boundary(num, den, v, points)]
     return tuple(sorted(omitted, key=SpherePoint.sort_key))
 
 

@@ -9,11 +9,15 @@ coefficients.
 
 The exact kernel runs in Python integers. `clear_denominators` writes an
 exact polynomial as 1/L times Gaussian-integer coefficients, given as
-(re, im) pairs, with L the lcm of the coefficient denominators. The product,
-division, `monic`, the gcd (a primitive PRS over Z[i]), `multiplicity_at`
-and the conformality identity of `weierstrass.check_conformality` work on
-those pairs and build GaussianRationals only for their result, so exact
-results are the ones field arithmetic on Fraction pairs gives.
+(re, im) pairs, with L the lcm of the coefficient denominators, and
+`clear_point` writes an exact point as s/d with s in Z[i] and d a positive
+integer. The product, division, `monic`, the gcd (a primitive PRS over
+Z[i]), exact evaluation (`zi_horner`), `RationalFunction.eval_extended`,
+`multiplicity_at` (`zi_multiplicity`), the omission test of
+`gaussmap.exceptional_values` and the conformality identity of
+`weierstrass.check_conformality` work on those pairs and build
+GaussianRationals only for their result, so exact results are the ones
+field arithmetic on Fraction pairs gives.
 
 Float evaluation takes a point through `float_point`, and nothing here
 imports numpy at module level, so exact work never loads it.
@@ -206,11 +210,13 @@ class Polynomial(Immutable):
         elementwise, at a numpy array of points (see float_point)."""
         if not is_exact(z):
             return horner(self.to_complex_coeffs(), float_point(z))
-        z = as_scalar(z)
-        acc = GaussianRational(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        if not self.coeffs:
+            return GaussianRational(0)
+        lcd, (pairs,) = clear_denominators(self)
+        sr, si, d = clear_point(z)
+        hr, hi = zi_horner(pairs, sr, si, d)
+        den = lcd * d**self.degree
+        return GaussianRational(Fraction(hr, den), Fraction(hi, den))
 
     __call__ = eval
 
@@ -467,29 +473,38 @@ def roots(p):
     return out
 
 
-def multiplicity_at(p, point):
-    """Order of vanishing of p at an exact point, by repeated division.
+def clear_point(z):
+    """(sr, si, d) for an exact point z = (sr + i si)/d, with d the least
+    positive integer that clears both parts."""
+    z = as_scalar(z)
+    re_, im_ = z.re, z.im
+    d = math.lcm(re_.denominator, im_.denominator)
+    return re_.numerator * (d // re_.denominator), im_.numerator * (d // im_.denominator), d
 
-    Write the point as s/d with s a Gaussian integer and d a positive
-    integer, and let L be the common denominator of the coefficients a_k of
-    p. Then P(w) = L d^n p(w/d) = sum L a_k d^(n-k) w^k has Gaussian-integer
-    coefficients and vanishes at w = s to the same order as p at s/d, so
+
+def zi_horner(pairs, sr, si, d):
+    """sum_k P_k s^k d^(n-k) over Z[i], for the ascending Gaussian-integer
+    coefficients P_0..P_n of a nonzero polynomial P and s = sr + i si: the
+    homogenized Horner scheme, equal to d^n P(s/d)."""
+    (ar, ai), *rest = reversed(pairs)
+    dk = 1
+    for cr, ci in rest:
+        dk *= d
+        ar, ai = ar * sr - ai * si + cr * dk, ar * si + ai * sr + ci * dk
+    return ar, ai
+
+
+def zi_multiplicity(pairs, sr, si, d):
+    """Order of vanishing at s/d of the polynomial P with ascending
+    Gaussian-integer coefficients P_0..P_n, s = sr + i si.
+
+    Q(w) = d^n P(w/d) = sum P_k d^(n-k) w^k has Gaussian-integer
+    coefficients and vanishes at w = s to the same order as P at s/d, so
     synthetic division by w - s runs in Python integers alone.
     """
-    if not is_exact(point):
-        raise RequiresExactMode(f"multiplicity_at needs an exact point, not {point!r}")
-    if p.is_zero():
-        raise DomainError("zero polynomial")
-    pt = as_scalar(point)
-    d = math.lcm(pt.re.denominator, pt.im.denominator)
-    sr, si = pt.re.numerator * (d // pt.re.denominator), pt.im.numerator * (d // pt.im.denominator)
-    _, (pairs,) = clear_denominators(p)
-    n = p.degree
-    cr, ci = [], []
-    for k, (r, i) in enumerate(pairs):
-        f = d ** (n - k)
-        cr.append(r * f)
-        ci.append(i * f)
+    n = len(pairs) - 1
+    cr = [r * d ** (n - k) for k, (r, _) in enumerate(pairs)]
+    ci = [i * d ** (n - k) for k, (_, i) in enumerate(pairs)]
     m = 0
     while len(cr) > 1:
         qr, qi = [0] * (len(cr) - 1), [0] * (len(cr) - 1)
@@ -502,6 +517,17 @@ def multiplicity_at(p, point):
         cr, ci = qr, qi
         m += 1
     return m
+
+
+def multiplicity_at(p, point):
+    """Order of vanishing of p at an exact point: `zi_multiplicity` on p
+    cleared to Gaussian integers and the point cleared to s/d."""
+    if not is_exact(point):
+        raise RequiresExactMode(f"multiplicity_at needs an exact point, not {point!r}")
+    if p.is_zero():
+        raise DomainError("zero polynomial")
+    _, (pairs,) = clear_denominators(p)
+    return zi_multiplicity(pairs, *clear_point(point))
 
 
 # -- text grammar, shared with LaurentPoly ------------------------------------

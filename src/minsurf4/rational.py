@@ -9,8 +9,20 @@ exact points only; floats enter as evaluation points.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import DomainError, UnsupportedPoint
-from .poly import Polynomial, conj_reflect, format_poly, gcd, multiplicity_at, parse_poly
+from .poly import (
+    Polynomial,
+    clear_denominators,
+    clear_point,
+    conj_reflect,
+    format_poly,
+    gcd,
+    multiplicity_at,
+    parse_poly,
+    zi_horner,
+)
 from .report import Immutable
 from .scalars import GaussianRational, as_scalar, is_exact
 
@@ -157,6 +169,9 @@ class RationalFunction(Immutable):
             if dn > 0:
                 return True, None
             return False, self.num.leading() / self.den.leading()
+        if is_exact(z):
+            _, (num, den) = clear_denominators(self.num, self.den)
+            return quotient_at(num, den, clear_point(z))
         n = self.num.eval(z)
         d = self.den.eval(z)
         if not d:
@@ -232,6 +247,33 @@ class RationalFunction(Immutable):
 
     def __str__(self):
         return format_rational(self)
+
+
+def quotient_at(num, den, point):
+    """(is_inf, value) of N/D at a point (sr, si, d) from `clear_point`, for
+    coprime N and D given as ascending Gaussian-integer pairs.
+
+    With H_P = d^deg(P) P(s/d) from `zi_horner`, N/D at s/d is
+    H_N d^deg(D) / (H_D d^deg(N)); the pole is the integer test H_D = 0, and
+    the quotient is H_N conj(H_D) over |H_D|^2 and the power of d.
+    """
+    sr, si, d = point
+    dr, di = zi_horner(den, sr, si, d)
+    if not (dr or di):
+        # coprime: the numerator cannot vanish there too
+        return True, None
+    if not num:
+        return False, GaussianRational(0)
+    nr, ni = zi_horner(num, sr, si, d)
+    re_, im_ = nr * dr + ni * di, ni * dr - nr * di
+    scale = dr * dr + di * di
+    shift = len(den) - len(num)
+    if shift > 0:
+        f = d**shift
+        re_, im_ = re_ * f, im_ * f
+    elif shift < 0:
+        scale *= d**-shift
+    return False, GaussianRational(Fraction(re_, scale), Fraction(im_, scale))
 
 
 def _taylor_at(p, pt, nterms):

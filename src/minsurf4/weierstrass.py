@@ -24,7 +24,7 @@ from .errors import DegenerateFrame, DomainError, InvalidPath, MultivaluedImmers
 from .domains import Annulus, PuncturedPlane
 from .poly import clear_denominators, gcd_many, horner, roots, zi_mul
 from .rational import RationalFunction, _series_div, _taylor_at
-from .report import Record, jsonable
+from .report import Record
 from .scalars import GaussianRational, to_complex
 from .sphere import SpherePoint, format_point
 
@@ -139,10 +139,6 @@ def check_conformality(p):
 class RegularityReport(Record):
     __slots__ = ("regular", "branch_points")
 
-    def to_dict(self):
-        points = [f"{z.real!r}{z.imag:+}j" for z in self.branch_points]
-        return {**super().to_dict(), "branch_points": points}
-
 
 def _inside(domain, z):
     if isinstance(domain, PuncturedPlane):
@@ -194,10 +190,6 @@ def induced_metric_identity(p, samples):
 
 class PeriodReport(Record):
     __slots__ = ("residues", "well_defined")
-
-    def to_dict(self):
-        rows = [{"puncture": label, "residues": jsonable(res)} for label, res in self.residues]
-        return {"per_puncture": rows, "well_defined": self.well_defined}
 
 
 def period_residues(p, domain):

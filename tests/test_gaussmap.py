@@ -4,6 +4,8 @@ falsification harness."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from minsurf4 import gaussmap
 from minsurf4.domains import PuncturedPlane, derive_rng
@@ -18,6 +20,7 @@ from minsurf4.gaussmap import (
     verify_main_inequality,
 )
 from minsurf4.metric import MetricSpec
+from minsurf4.poly import Polynomial, clear_denominators, clear_point, multiplicity_at
 from minsurf4.rational import INF, MoebiusTransform, RationalFunction
 from minsurf4.scalars import GaussianRational
 from minsurf4.sphere import INFINITY, SpherePoint, format_point
@@ -82,6 +85,94 @@ def test_omitted_bounded_by_boundary_count():
         g = z**num_deg + GaussianRational(rng.randint(-2, 2))
         omitted = exceptional_values(g, d)
         assert len(omitted) <= count + 1
+
+
+def _omitted_by_definition(g, value, punctures):
+    """The omission test on exact polynomials: every finite root of
+    num - value*den (den for infinity) is a puncture, with multiplicity."""
+    q = g.den if value.is_infinity else g.num - Polynomial([value.value]) * g.den
+    return q.degree <= 0 or sum(multiplicity_at(q, p) for p in punctures) == q.degree
+
+
+def _integer_omission_test(g, value, punctures):
+    _, (num, den) = clear_denominators(g.num, g.den)
+    points = [clear_point(p) for p in punctures]
+    return gaussmap._all_preimages_on_boundary(num, den, value, points)
+
+
+_parts = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_gaussian = st.builds(GaussianRational, _parts, _parts)
+
+
+@st.composite
+def _maps_and_punctures(draw):
+    """A nonconstant g and distinct punctures: either random num/den, or
+    alpha + c/prod (z - a)^e over some punctures, which omits alpha = g(inf)
+    and infinity."""
+    punctures = draw(st.lists(_gaussian, min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        num = Polynomial(draw(st.lists(_gaussian, max_size=4)))
+        den = Polynomial(draw(st.lists(_gaussian, min_size=1, max_size=4).filter(any)))
+        g = RationalFunction(num, den)
+    else:
+        poles = draw(st.lists(st.sampled_from(punctures), min_size=1, max_size=3))
+        alpha, c = draw(_gaussian), draw(_gaussian.filter(bool))
+        g = RationalFunction.constant(alpha) + c / RationalFunction(Polynomial.from_roots(poles))
+    if g.is_constant():
+        g = g + RationalFunction.z()
+    return g, punctures
+
+
+@given(_maps_and_punctures(), _gaussian)
+def test_integer_omission_test_matches_definition(map_and_punctures, other):
+    """The test on the integer pairs d_v N - V D agrees with the definition
+    on num - value*den at every boundary image, at g(inf) (where the degree
+    of q drops when deg num = deg den), at infinity and at an unrelated
+    value."""
+    g, punctures = map_and_punctures
+    images = [g.eval_extended(p) for p in punctures + [INF]]
+    values = [INFINITY if flag else SpherePoint(v) for flag, v in images]
+    values += [INFINITY, SpherePoint(other)]
+    for v in values:
+        assert _integer_omission_test(g, v, punctures) == _omitted_by_definition(g, v, punctures)
+    omitted = [v for v in set(values[:-2]) if _omitted_by_definition(g, v, punctures)]
+    assert exceptional_values(g, PuncturedPlane(punctures)) == tuple(sorted(omitted, key=SpherePoint.sort_key))
+
+
+@pytest.mark.parametrize("puncture, omitted", [(1, True), (2, False)])
+def test_omission_where_the_degree_of_q_drops(puncture, omitted):
+    """g = (z^2 + z)/(z^2 + 1) has g(inf) = 1, and q = z - 1 has degree 1:
+    1 is omitted exactly when 1 is a puncture."""
+    z = _z()
+    g = (z * z + z) / (z * z + 1)
+    value = SpherePoint(GaussianRational(1))
+    punctures = [GaussianRational(puncture)]
+    assert g.eval_extended(INF) == (False, GaussianRational(1))
+    assert _integer_omission_test(g, value, punctures) is omitted
+    assert _omitted_by_definition(g, value, punctures) is omitted
+
+
+def test_exceptional_values_builds_no_polynomial(monkeypatch):
+    """On a fixed falsify draw (a quadratic alpha + 1/prod(z - a) and a
+    Moebius map), the omission test runs on integer pairs and constructs no
+    Polynomial."""
+    spec, domain = gaussmap._draw_instance(derive_rng(12, 0, 0, "falsify"), FalsifyBounds())
+    maps = [g for g, _ in spec.factors]
+    built = []
+    init = Polynomial.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting)
+    omitted = [_omitted_strs(exceptional_values(g, domain)) for g in maps]
+    monkeypatch.undo()
+    assert built == []
+    assert omitted == [
+        ["2-3i", "inf"],
+        ["11/8-1i", "3/4-3/4i", "31/40-13/40i", "34/41-19/41i", "4/5-27/20i"],
+    ]
 
 
 def test_moebius_equivariance():

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import minsurf4.poly as poly_module
 from minsurf4.domains import derive_rng
@@ -88,6 +90,34 @@ def test_float_eval_converts_each_coefficient_once(monkeypatch):
     # exact points on exact data stay exact and convert nothing
     assert p.eval(GaussianRational(1)) == sum(p.coeffs, GaussianRational(0))
     assert len(calls) == 4
+
+
+_parts = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_gaussian = st.builds(GaussianRational, _parts, _parts)
+
+
+def _fraction_horner(coeffs, z):
+    """sum c_k z^k by Horner's rule on (re, im) pairs of Fractions."""
+    z = GaussianRational(z) if not isinstance(z, GaussianRational) else z
+    ar = ai = F(0)
+    for c in reversed(coeffs):
+        ar, ai = ar * z.re - ai * z.im + c.re, ar * z.im + ai * z.re + c.im
+    return ar, ai
+
+
+@given(st.lists(_gaussian, max_size=6), st.one_of(_gaussian, _parts, st.integers(-5, 5)))
+@example([], GaussianRational(F(1, 2), F(-2, 3)))
+@example([0, 0], 3)
+@example([GaussianRational(F(2, 3), -1)], F(-5, 4))
+@example([1, GaussianRational(F(1, 3), 2), F(-7, 2)], GaussianRational(F(3, 4), F(5, 6)))
+def test_exact_eval_matches_fraction_horner(coeffs, z):
+    """Exact evaluation in Z[i] gives the value field arithmetic gives, for
+    zero and constant polynomials too, at int, Fraction and Gaussian-rational
+    points with denominators."""
+    p = Polynomial(coeffs)
+    value = p.eval(z)
+    assert isinstance(value, GaussianRational)
+    assert (value.re, value.im) == _fraction_horner(p.coeffs, z)
 
 
 @pytest.mark.parametrize(

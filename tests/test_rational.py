@@ -1,6 +1,10 @@
 """Rational functions: orders, residues, reflection, Moebius transforms."""
 
+from fractions import Fraction as F
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from minsurf4.domains import derive_rng
 from minsurf4.errors import DomainError
@@ -50,6 +54,36 @@ def test_eval_and_extended():
     assert inf_flag
     inf_flag, val = r.eval_extended(GaussianRational(0))
     assert not inf_flag and val == GaussianRational(-1)
+
+
+_parts = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_gaussian = st.builds(GaussianRational, _parts, _parts)
+
+
+@given(st.data())
+def test_eval_extended_is_the_quotient_off_the_poles(data):
+    """At an exact point, eval_extended is num/den off the poles and
+    (True, None) at them; the point is drawn among the denominator's roots
+    half of the time."""
+    roots = data.draw(st.lists(_gaussian, max_size=3))
+    num = Polynomial(data.draw(st.lists(_gaussian, max_size=4)))
+    r = RationalFunction(num, Polynomial.from_roots(roots) * data.draw(_gaussian.filter(bool)))
+    points = st.one_of(_gaussian, _parts, st.integers(-5, 5))
+    z = data.draw(st.one_of(st.sampled_from(roots), points) if roots else points)
+    den = r.den.eval(z)
+    if den:
+        assert r.eval_extended(z) == (False, r.num.eval(z) / den)
+    else:
+        assert r.eval_extended(z) == (True, None)
+
+
+def test_eval_extended_at_poles_with_denominators():
+    a = GaussianRational(F(1, 2), F(-2, 3))
+    z = _z()
+    r = (z + 1) / ((z - a) ** 2 * (z - F(3, 4)))
+    assert r.eval_extended(a) == (True, None)
+    assert r.eval_extended(F(3, 4)) == (True, None)
+    assert r.eval_extended(F(1, 2)) == (False, GaussianRational(F(27, 2)))
 
 
 def test_order_at_examples():

@@ -248,8 +248,6 @@ def test_one_immutability_guard():
 TO_DICT_OVERRIDES = {
     ("metric.py", "CompletenessReport"),
     ("nonorientable.py", "MoebiusReport"),
-    ("weierstrass.py", "PeriodReport"),
-    ("weierstrass.py", "RegularityReport"),
 }
 
 
