@@ -15,10 +15,10 @@ import cmath
 import math
 
 from .errors import BadStencil, DegeneratePoint, DomainError, UnsupportedPoint
-from .domains import PuncturedPlane
+from .domains import PuncturedPlane, interior_part, zeros_inside
 from .gaussmap import exceptional_values
 from .metric import MetricSpec, is_complete
-from .poly import Polynomial, gcd, multiplicity_at, roots
+from .poly import roots
 from .rational import RationalFunction
 from .report import Record
 from .scalars import to_complex
@@ -67,21 +67,14 @@ class LagrangianSpec(Record):
 def nondegenerate(spec, domain):
     """True iff |S1|^2 + |S2|^2 never vanishes on the domain.
 
-    Returns (verdict, offending points); both spinors zero means the spec is
-    degenerate everywhere and the offending list is None.
+    Returns (verdict, offending points): the common zeros of the spinor
+    numerators that `domains.zeros_inside` places inside the domain, where
+    gcd(p, 0) = monic p covers one zero spinor. Both spinors zero means the
+    spec is degenerate everywhere and the offending list is None.
     """
     if spec.degenerate_everywhere():
         return False, None
-    if spec.S1.is_zero() or spec.S2.is_zero():
-        other = spec.S2 if spec.S1.is_zero() else spec.S1
-        if other.num.degree <= 0:
-            return True, []
-        offenders = [z for z, _ in roots(other.num) if domain.contains(z)]
-        return not offenders, offenders
-    g = gcd(spec.S1.num, spec.S2.num)
-    if g.degree <= 0:
-        return True, []
-    offenders = [z for z, _ in roots(g) if domain.contains(z)]
+    offenders = zeros_inside([spec.S1.num, spec.S2.num], domain)
     return not offenders, offenders
 
 
@@ -227,32 +220,20 @@ def _not_applicable(reason, completeness):
     return CorollaryBoundReport(False, reason, completeness, None, None, None)
 
 
-def _pole_in_domain(spec, domain):
-    """A pole of the spinors that is not a puncture, or None. Each
-    denominator loses its factor (z - p)^m at every puncture p, m the exact
-    multiplicity there; a positive degree left over is a pole in the domain,
-    named by its float root."""
-    for S in (spec.S1, spec.S2):
-        den = S.den
-        for p in domain.punctures:
-            den = divmod(den, Polynomial([-p, 1]) ** multiplicity_at(den, p))[0]
-        if den.degree > 0:
-            return roots(den)[0][0]
-    return None
-
-
 def corollary_bound_check(spec, domain):
     """Complete minimal Lagrangian surfaces omit at most 3 tangent-plane
     values: builds the metric (1+|g|^2)|S1 dz|^2 with g = -S2/S1 and counts
     the omitted values when the metric is complete. The surface must be
     defined on the domain, so a pole of the spinors that is not a puncture
-    makes the check not applicable."""
+    makes the check not applicable; it is named by a float root of what
+    `domains.interior_part` leaves of the denominator."""
     if not isinstance(domain, PuncturedPlane):
         raise DomainError("bound check runs on punctured planes")
-    pole = _pole_in_domain(spec, domain)
-    if pole is not None:
-        reason = f"not-applicable: pole of the spinors at z = {pole:.6g} in the domain"
-        return _not_applicable(reason, None)
+    for S in (spec.S1, spec.S2):
+        den = interior_part(S.den, domain)
+        if den.degree > 0:
+            reason = f"not-applicable: pole of the spinors at z = {roots(den)[0][0]:.6g} in the domain"
+            return _not_applicable(reason, None)
     metric = None if spec.S1.is_zero() else metric_spec(spec)
     g = None if metric is None else metric.factors[0][0]
     if g is None or g.is_constant():

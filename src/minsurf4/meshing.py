@@ -106,17 +106,6 @@ def annulus_grid(r_lo, r_hi, n_r, n_theta):
     return points, faces
 
 
-def _singular_locus(domain, poles):
-    out = [to_complex(q) for q in domain.punctures]
-    for form_poles in poles:
-        out.extend(z for z, _ in form_poles)
-    dedup = []
-    for z in out:
-        if all(abs(z - w) > 1e-9 for w in dedup):
-            dedup.append(z)
-    return dedup
-
-
 def export_mesh(p, domain, grid, base):
     """Immerse a structured grid and triangulate it.
 
@@ -130,7 +119,8 @@ def export_mesh(p, domain, grid, base):
         raise IrregularData(f"forms share zeros inside the domain at: {bad}")
     points, faces = grid
     poles = [roots(phi.den) for phi in p.phi]
-    singular = _singular_locus(domain, poles)
+    singular = [to_complex(q) for q in domain.punctures]
+    singular += [z for form_poles in poles for z, _ in form_poles]
     alive = []
     index_map = {}
     skipped = 0

@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 
 from .errors import DegenerateFrame, DomainError, InvalidPath, MultivaluedImmersion
-from .domains import Annulus, PuncturedPlane
-from .poly import clear_denominators, gcd_many, horner, roots, zi_mul
+from .domains import PuncturedPlane, zeros_inside
+from .poly import clear_denominators, horner, roots, zi_mul
 from .rational import RationalFunction, _series_div, _taylor_at
 from .report import Record
 from .scalars import GaussianRational, to_complex
@@ -140,32 +140,15 @@ class RegularityReport(Record):
     __slots__ = ("regular", "branch_points")
 
 
-def _inside(domain, z):
-    if isinstance(domain, PuncturedPlane):
-        return all(
-            abs(z - to_complex(q)) > 1e-9 * (1.0 + abs(z)) for q in domain.punctures
-        )
-    if isinstance(domain, Annulus):
-        r = abs(z)
-        if not (1.0 / domain.R + 1e-12 < r < domain.R - 1e-12):
-            return False
-        return all(
-            abs(z - to_complex(q)) > 1e-9 * (1.0 + abs(z)) for q in domain.punctures
-        )
-    raise DomainError(f"unknown domain type {type(domain).__name__}")
-
-
 def check_regularity(p, domain):
     """No common zero of the four forms inside the domain.
 
     Reduced fractions cannot vanish at their own poles, so the common zeros
     are exactly the roots of gcd of the four numerators; the zero form is the
-    gcd identity element.
+    gcd identity element. `domains.zeros_inside` keeps those inside the
+    domain, placing each puncture exactly.
     """
-    g = gcd_many([phi.num for phi in p.phi])
-    if g.degree <= 0:
-        return RegularityReport(True, ())
-    offenders = tuple(z for z, _ in roots(g) if _inside(domain, z))
+    offenders = tuple(zeros_inside([phi.num for phi in p.phi], domain))
     return RegularityReport(not offenders, offenders)
 
 

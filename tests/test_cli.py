@@ -186,6 +186,21 @@ def test_lagrangian_pole_in_the_domain_is_not_applicable(tmp_path, capsys):
     assert bound["omitted"] is None
 
 
+def test_lagrangian_zeros_at_the_punctures_are_not_degenerate(tmp_path, capsys):
+    # the spinors S1 = F2', S2 = -F1' share the zeros 1/3 and 2/7+1/5i, and
+    # the domain punctures the plane at exactly those two points
+    cfg = json.loads((CONFIG_DIR / "lagrangian-parabola.json").read_text())
+    cfg["domain"]["punctures"] = ["1/3", "2/7+1/5i"]
+    cfg["lagrangian"]["F1"] = "(1/3)*z^3 + (-13/42-1/10i)*z^2 + (2/21+1/15i)*z"
+    cfg["lagrangian"]["F2"] = "(1/4)*z^4 + (8/63-1/15i)*z^3 + (-11/42-1/15i)*z^2 + (2/21+1/15i)*z"
+    path = tmp_path / "punctured.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = _run(["lagrangian", "--config", str(path)], capsys)
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert (res["nondegenerate"], res["degenerate_points"]) == (True, [])
+
+
 def test_lagrangian_bound_violation_exits_2(monkeypatch, capsys):
     import minsurf4.cli as cli
     from minsurf4.lagrangian import CorollaryBoundReport

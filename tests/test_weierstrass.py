@@ -2,6 +2,7 @@
 and the closed-form immersion."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -193,6 +194,18 @@ def test_regularity():
     rep = check_regularity(scaled, domain)
     assert not rep.regular
     assert any(abs(b - 1.0) < 1e-8 for b in rep.branch_points)
+
+
+def test_regularity_sees_a_branch_point_near_a_puncture():
+    # omega_hat = (z - 10^-10)/z^2 with g1 = z, g2 = -z: the forms share the
+    # zero 10^-10, which is not the puncture 0
+    z = _z()
+    near = GaussianRational(Fraction(1, 10**10))
+    omega_hat = RationalFunction(Polynomial([-near, 1]), Polynomial([0, 0, 1]))
+    p = phis_from_data(WeierstrassData(z, -z, omega_hat))
+    rep = check_regularity(p, PuncturedPlane([GaussianRational(0)]))
+    assert not rep.regular
+    assert rep.branch_points == (pytest.approx(1e-10, abs=1e-20),)
 
 
 def test_period_residues_catenoid():
