@@ -26,7 +26,8 @@ class InfeasibleSampling(MinSurfError, RuntimeError):
 
 
 class InvalidPath(MinSurfError, ValueError):
-    """An integration endpoint (base point or target) is a pole of the forms."""
+    """An integration endpoint (base point or target) is a pole of the forms,
+    or so near one that a primitive leaves the float range."""
 
 
 class BadStencil(MinSurfError, ValueError):

@@ -2,6 +2,11 @@
 ASCII format: Wavefront-style v/f lines carrying the first three coordinates,
 the fourth coordinate riding in a trailing comment and again in a `va`
 attribute line per vertex.
+
+`export_mesh` immerses a grid through `weierstrass.immerse`'s closed-form
+primitives, evaluated on Python complex scalars, so the `mesh` command never
+loads numpy; only the nonorientable pipeline and `loop_period` evaluate
+numpy arrays.
 """
 
 from __future__ import annotations

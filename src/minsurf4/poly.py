@@ -20,7 +20,9 @@ GaussianRationals only for their result, so exact results are the ones
 field arithmetic on Fraction pairs gives.
 
 Float evaluation takes a point through `float_point`, and nothing here
-imports numpy at module level, so exact work never loads it.
+imports numpy at module level. Only the nonorientable pipeline and
+`weierstrass.loop_period` evaluate numpy arrays; exact work and `mesh`, which
+evaluates its closed-form primitives on complex scalars, never load numpy.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ def float_point(z):
     """The one dispatch rule of Polynomial.eval, RationalFunction.eval_at and
     LaurentPoly.eval for a point they evaluate in floats: a scalar, exact or a
     Python or numpy number, becomes a complex, and anything else is taken to
-    be a numpy array of points for `horner`. numpy scalars are registered as
+    be a numpy array of points for `horner`; only the nonorientable pipeline
+    and `loop_period` pass arrays. numpy scalars are registered as
     `numbers.Number`s, so numpy is not imported to tell them apart.
     """
     return complex(z) if isinstance(z, (GaussianRational, numbers.Number)) else z
@@ -50,7 +53,9 @@ def horner(ccoeffs, z):
     """Value at z of the polynomial with ascending complex coefficients.
 
     z is a complex scalar or a numpy array of points, evaluated elementwise;
-    the float kernel under Polynomial.eval and LaurentPoly.eval.
+    the float kernel under Polynomial.eval and LaurentPoly.eval. The scalar
+    branch serves `mesh`'s closed-form primitives and never imports numpy;
+    the array branch serves the nonorientable pipeline and `loop_period`.
     """
     if isinstance(z, complex):
         acc = 0j

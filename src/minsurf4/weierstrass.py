@@ -13,7 +13,10 @@ its principal parts at the poles a, so a primitive is a polynomial, powers
 (z - a)^(-n), and r_a log(z - a) with r_a the residue at a. For real r_a,
 Re(r_a log(z - a)) = r_a ln|z - a| is single-valued, which is the period
 condition (Osserman, A Survey of Minimal Surfaces); a nonreal residue
-raises MultivaluedImmersion. Only loop_period still integrates numerically.
+raises MultivaluedImmersion. `immerse` evaluates the primitives point by
+point on Python complex scalars, so `mesh` never loads numpy. Only
+loop_period still integrates numerically, on one numpy array of nodes; with
+the nonorientable pipeline it is the only numpy user.
 """
 
 from __future__ import annotations
@@ -193,18 +196,19 @@ def period_residues(p, domain):
 
 
 def _primitive(phi, poles):
-    """Evaluator of P with Re P a primitive of Re(phi dz), for phi whose
-    denominator has the roots `poles`, as (pole, multiplicity) from roots.
+    """Evaluator of Re P, with Re P a primitive of Re(phi dz), at a complex
+    scalar, for phi whose denominator has the roots `poles`, as
+    (pole, multiplicity) from roots.
 
     phi is its polynomial part (from divmod) plus, at each pole a of order m,
     the principal part sum_i c_i (z - a)^(i - m), from the series division
     that residue_at uses, at the float pole. So
     P = int(polynomial part) + sum c_i (z - a)^(i - m + 1) / (i - m + 1) over
     i < m - 1, + Re(r_a) ln|z - a| with r_a = c_{m-1}; the last term is
-    Re(r_a log(z - a)) only for real r_a, so any other residue raises.
+    Re(r_a log(z - a)) only for real r_a, so any other residue raises. At a
+    pole the evaluator raises ValueError (math.log) or ZeroDivisionError, and
+    OverflowError where a power leaves the float range.
     """
-    import numpy as np
-
     q = divmod(phi.num, phi.den)[0].to_complex_coeffs()
     poly = (0j,) + tuple(c / (k + 1) for k, c in enumerate(q))
     parts = []
@@ -215,24 +219,23 @@ def _primitive(phi, poles):
             raise MultivaluedImmersion(
                 f"residue {r:.6g} at the pole {a:.6g} is not real: Re int phi is path-dependent"
             )
-        parts.append((a, c))
+        parts.append((a, r.real, [(ci, i - m + 1) for i, ci in enumerate(c[:-1])]))
 
     def value(z):
         out = horner(poly, z)
-        for a, c in parts:
+        for a, r, terms in parts:
             w = z - a
-            m = len(c)
-            out = out + c[-1].real * np.log(np.abs(w))
-            for i, ci in enumerate(c[:-1]):
-                out = out + ci * w ** (i - m + 1) / (i - m + 1)
-        return out
+            out = out + r * math.log(abs(w))
+            for ci, k in terms:
+                out = out + ci * w**k / k
+        return out.real
 
     return value
 
 
 def immerse(p, domain, base, targets):
     """X(target) = Re(P(target) - P(base)) for the closed-form primitives P of
-    the forms, evaluated on one array of targets; a list of 4-tuples.
+    the forms, evaluated point by point on complex scalars; a list of 4-tuples.
 
     A nonreal residue at a listed puncture or at any pole of the forms raises
     MultivaluedImmersion, since Re int is then path-dependent.
@@ -241,19 +244,21 @@ def immerse(p, domain, base, targets):
 
 
 def _immerse(p, domain, base, targets, poles):
-    """immerse, given roots(phi.den) for each form phi in `poles`."""
-    import numpy as np
-
+    """immerse, given roots(phi.den) for each form phi in `poles`. A base
+    point or target where some Re P is not a finite float raises InvalidPath."""
     if isinstance(domain, PuncturedPlane) and domain.punctures:
         if not period_residues(p, domain).well_defined:
             raise MultivaluedImmersion("nonreal residues make Re int path-dependent")
     primitives = [_primitive(phi, a) for phi, a in zip(p.phi, poles)]
-    z = np.array([to_complex(base)] + [to_complex(t) for t in targets], dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.array([prim(z).real for prim in primitives])
-    if not np.all(np.isfinite(x)):
-        raise InvalidPath("the base point or a target is a pole of the forms")
-    return [tuple(v) for v in (x[:, 1:] - x[:, :1]).T.tolist()]
+    points = [to_complex(base)] + [to_complex(t) for t in targets]
+    try:
+        x = [[prim(z) for prim in primitives] for z in points]
+        finite = all(math.isfinite(v) for row in x for v in row)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        finite = False
+    if not finite:
+        raise InvalidPath("a primitive is not finite at the base point or a target, at or near a pole")
+    return [tuple(v - v0 for v, v0 in zip(row, x[0])) for row in x[1:]]
 
 
 def loop_period(p, center, radius):

@@ -1,5 +1,6 @@
 """Command-line behavior: verdicts, exit codes, deterministic artifacts."""
 
+import cmath
 import hashlib
 import importlib
 import json
@@ -12,6 +13,7 @@ import sys
 import pytest
 
 from minsurf4.cli import main
+from minsurf4.meshing import annulus_grid
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -546,10 +548,12 @@ def test_installed_console_script():
     assert rep["results"]["verdict"] == "equality"
 
 
-# Every exact command, and the exact round trip of Weierstrass data, run in a
+# Every exact command, `mesh` (which evaluates its closed-form primitives on
+# complex scalars), and the exact round trip of Weierstrass data run in a
 # child interpreter that must never import numpy, nor dataclasses or inspect,
-# whose import cost would land on every command's start; `mesh` builds float
-# arrays and must import numpy, so the check cannot pass vacuously.
+# whose import cost would land on every command's start; `nonorientable`
+# builds float arrays and must import numpy, so the check cannot pass
+# vacuously.
 _EXACT_WORK = f"""
 import sys
 import minsurf4
@@ -564,6 +568,7 @@ for argv in (
     ["verify-main", "--config", configs + "/prop-family-p4.json"],
     ["lagrangian", "--config", configs + "/lagrangian-parabola.json"],
     ["gen-example", "--p", "4", "--m", "1,1"],
+    ["mesh", "--config", configs + "/catenoid-mesh.json"],
 ):
     assert main(argv) == 0, argv
 z = RationalFunction(Polynomial([0, 1]))
@@ -582,14 +587,14 @@ def test_exact_commands_do_not_import_numpy(tmp_path):
     assert proc.stderr.strip() == "[]"
 
 
-def test_mesh_imports_numpy(tmp_path):
-    mesh = f"""
+def test_nonorientable_imports_numpy(tmp_path):
+    nonorientable = f"""
 import sys
 from minsurf4.cli import main
-assert main(["mesh", "--config", {str(CONFIG_DIR / "catenoid-mesh.json")!r}]) == 0
+assert main(["nonorientable", "--config", {str(CONFIG_DIR / "moebius-strip.json")!r}]) == 0
 print("numpy" in sys.modules, file=sys.stderr)
 """
-    proc = _python_subprocess(["-c", mesh], tmp_path)
+    proc = _python_subprocess(["-c", nonorientable], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip() == "True"
 
@@ -606,8 +611,8 @@ GOLDEN_ARTIFACTS = {
         "moebius.mesh": "a83d888ac082bc919a56b46cd415e23e1f04adc12049ce9cfc3025ebbfd98e23",
     },
     ("mesh", "--config", "catenoid-mesh.json"): {
-        "mesh.json": "09a02bc071960c1ef9bb89e791532b6d073bcbabb1a76f266d1c6ed42859f692",
-        "catenoid.mesh": "8fc853c7bb336e0a3d4979959bce1d3332ccb18b7a2fe72c92466947472b84d4",
+        "mesh.json": "f8c5cb6117f0a9a863cd4a804061216476a9f076a1163b5f6ffceccc799b37e9",
+        "catenoid.mesh": "11d4aff552dadf29e19c871a27d56e0278f8bbc710a079460e30a788752584d3",
     },
     ("falsify", "--seed", "7", "--n", "50"): {
         "falsify.json": "311b571b961493c354c075a0b23b62435fcdcf4fcf829ae4d03c53de66854dee",
@@ -632,3 +637,28 @@ def test_golden_artifacts(command, tmp_path, capsys):
     capsys.readouterr()
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
     assert written == GOLDEN_ARTIFACTS[command]
+
+
+def test_catenoid_mesh_matches_its_closed_form(tmp_path, capsys):
+    """Every vertex of the shipped catenoid mesh is
+    Re((1/2)(-1/z - z), (i/2)(z - 1/z), log z, 0) minus its value at the base
+    point, to within 1e-15, a few units in the last place of coordinates
+    below 2.5 in size."""
+    path = CONFIG_DIR / "catenoid-mesh.json"
+    assert main(["mesh", "--config", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    cfg = json.loads(path.read_text(encoding="utf-8"))["mesh"]
+    grid = cfg["grid"]
+    points, _ = annulus_grid(*grid["r"], grid["n_r"], grid["n_theta"])
+
+    def closed_form(z):
+        return ((0.5 * (-1 / z - z)).real, (0.5j * (z - 1 / z)).real, cmath.log(z).real, 0.0)
+
+    base = closed_form(complex(cfg["base"]))
+    text = (tmp_path / cfg["filename"]).read_text(encoding="ascii")
+    rows = [line.split() for line in text.splitlines() if line.startswith("v ")]
+    assert len(rows) == len(points) == 192
+    for z, row in zip(points, rows):
+        got = [float(row[k]) for k in (1, 2, 3, 6)]
+        want = [c - c0 for c, c0 in zip(closed_form(z), base)]
+        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-15, z

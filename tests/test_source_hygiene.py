@@ -253,3 +253,68 @@ TO_DICT_OVERRIDES = {
 
 def test_one_serializer():
     assert _definers("to_dict") == {("report.py", "Record")} | TO_DICT_OVERRIDES
+
+
+def numpy_imports(source):
+    """Sorted (line, scope) for each import of numpy or a numpy submodule:
+    scope is the qualified name of the enclosing function, such as
+    "LaurentPoly.eval", or None for an import that runs when the module is
+    imported."""
+    out = []
+
+    def visit(node, names, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, names + [child.name], True)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, names + [child.name], in_function)
+            else:
+                if isinstance(child, ast.Import):
+                    modules = [alias.name for alias in child.names]
+                elif isinstance(child, ast.ImportFrom):
+                    modules = [child.module or ""]
+                else:
+                    modules = []
+                if any(m.split(".")[0] == "numpy" for m in modules):
+                    out.append((child.lineno, ".".join(names) if in_function else None))
+                visit(child, names, in_function)
+
+    visit(ast.parse(source), [], False)
+    return sorted(out, key=lambda item: item[0])
+
+
+def test_the_check_sees_numpy_imports():
+    source = (
+        "import numpy as np\n"
+        "if True:\n    from numpy import zeros\n"
+        "class C:\n    import numpy.linalg\n\n"
+        "    def eval(self):\n        import numpy\n\n"
+        "def f():\n    def g():\n        import numpy\n    import math\n"
+    )
+    assert numpy_imports(source) == [(1, None), (3, None), (5, None), (8, "C.eval"), (12, "f.g")]
+
+
+# The only functions that evaluate numpy arrays: the array branch of the
+# float kernel, Laurent evaluation, loop periods and the nonorientable
+# pipeline's circle scans, sandwich and mesh. Every other command, `mesh`
+# included, runs on Python scalars and never loads numpy.
+NUMPY_IMPORTERS = {
+    ("poly.py", "horner"),
+    ("laurent.py", "LaurentPoly.eval"),
+    ("weierstrass.py", "loop_period"),
+    ("nonorientable.py", "_circle"),
+    ("nonorientable.py", "unit_circle_min"),
+    ("nonorientable.py", "_circle_extrema"),
+    ("nonorientable.py", "sandwich_check"),
+    ("nonorientable.py", "half_domain_mesh"),
+}
+
+
+def test_numpy_is_imported_only_inside_the_array_functions():
+    found = {
+        (path.name, scope)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, scope in numpy_imports(path.read_text(encoding="utf-8"))
+    }
+    assert not {name for name, scope in found if scope is None}, "numpy imported at module level"
+    assert found == NUMPY_IMPORTERS

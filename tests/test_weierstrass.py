@@ -351,6 +351,28 @@ def test_immerse_refuses_a_target_at_a_pole():
         immerse(p, PuncturedPlane([GaussianRational(0)]), 1.0, [0.0])
 
 
+def test_immerse_refuses_a_base_point_at_a_pole():
+    # math.log(0.0) raises ValueError at the pole; immerse reports InvalidPath
+    p = phis_from_data(_catenoid())
+    with pytest.raises(InvalidPath):
+        immerse(p, PuncturedPlane([GaussianRational(0)]), 0.0, [1.0])
+
+
+def test_immerse_refuses_targets_where_a_power_leaves_the_float_range():
+    # (g1, g2, omega_hat) = (z^2, -z^2, 1/z^3): phi1 and phi2 have triple
+    # poles at 0, so their primitives carry z^-2. At 1e-200 the square
+    # underflows to 0 (ZeroDivisionError); at 1e-160 it is subnormal and its
+    # reciprocal overflows (OverflowError). Both are InvalidPath.
+    z = _z()
+    p = phis_from_data(WeierstrassData(z * z, -(z * z), 1 / (z * z * z)))
+    domain = PuncturedPlane([GaussianRational(0)])
+    (x,) = immerse(p, domain, 1.0, [1e-100])
+    assert x[0] == pytest.approx(-2.5e199)
+    for target in (1e-200, 1e-160):
+        with pytest.raises(InvalidPath):
+            immerse(p, domain, 1.0, [target])
+
+
 def test_data_from_phis_rejects_degenerate_frame():
     z = _z()
     i = GaussianRational(0, 1)
