@@ -21,6 +21,7 @@ are deterministic for fixed config + seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -33,9 +34,10 @@ from .lagrangian import (
     STENCIL_H,
     corollary_bound_check,
     gauss_components,
-    lagrangian_minimality_check,
+    immersion_xyzw,
     metric_curvature,
     nondegenerate,
+    stencil_residuals,
 )
 from .meshing import annulus_grid, export_mesh, mesh_text, plane_grid
 from .metric import MetricSpec
@@ -108,7 +110,7 @@ def cmd_verify_main(args):
             "inequality": rep.to_dict(),
         },
         cfg_hash=config_hash(cfg.raw_text),
-        tolerances={"exact": True},
+        tolerances={},
     )
     return report, [], verdict == "COUNTEREXAMPLE"
 
@@ -154,7 +156,7 @@ def cmd_gen_example(args):
         {"p": args.p, "m": m, "generated_config": raw},
         results,
         cfg_hash=config_hash(canonical_json(raw)),
-        tolerances={"exact": True},
+        tolerances={},
     )
     return report, [], results["verdict"] == "COUNTEREXAMPLE"
 
@@ -168,7 +170,7 @@ def cmd_falsify(args):
         {"n": args.n, "seed": args.seed, "require_complete": not args.allow_incomplete},
         {"summary": summary},
         cfg_hash=config_hash(f"falsify:{args.seed}:{args.n}:{not args.allow_incomplete}"),
-        tolerances={"exact": True},
+        tolerances={},
     )
     return report, [("falsify.csv", csv_text)], summary["counterexamples"] > 0
 
@@ -188,12 +190,13 @@ def cmd_lagrangian(args):
         except MinSurfError as e:
             probes[text] = {"error": str(e)}
     rng = derive_rng(seed, "lagrangian-cli")
+    immersion = functools.partial(immersion_xyzw, spec)
     worst_symp = worst_harm = 0.0
     used = 0
     while used < samples:
         z = complex(rng.uniform(-box, box), rng.uniform(-box, box))
         try:
-            symp, harm = lagrangian_minimality_check(spec, z)
+            symp, harm = stencil_residuals(immersion, z)
         except MinSurfError:
             continue
         worst_symp = max(worst_symp, symp)

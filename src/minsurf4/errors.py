@@ -66,6 +66,11 @@ class PeriodObstruction(MinSurfError, ValueError):
     """Residue condition fails; pulled-back forms would have periods."""
 
 
+class RootsNotConverged(MinSurfError, RuntimeError):
+    """The root iteration stopped at its cap before its steps fell below
+    the convergence tolerance."""
+
+
 class KSearchExhausted(MinSurfError, RuntimeError):
     """No admissible odd covering degree below the search cap."""
 

@@ -147,19 +147,6 @@ def r4_gauss_check(g1, g2, omega_hat, domain):
     return R4GaussReport(completeness, q1, q2, applicable, holds, note)
 
 
-def lift_equivalence(q1, q2):
-    """Exact arithmetic fact behind the double-cover count translation:
-
-    1/(2 q1 - 2) + 1/(2 q2 - 2) >= 1  iff  1/(q1 - 1) + 1/(q2 - 1) >= 2.
-    Returns (left, right) truth values; q_i >= 2 required.
-    """
-    if q1 < 2 or q2 < 2:
-        raise DomainError("counts below 2 leave both sides undefined here")
-    left = Fraction(1, 2 * q1 - 2) + Fraction(1, 2 * q2 - 2) >= 1
-    right = Fraction(1, q1 - 1) + Fraction(1, q2 - 1) >= 2
-    return left, right
-
-
 class NonorientableCountReport(Record):
     __slots__ = ("q1", "q2", "holds", "equality", "consistent")
 

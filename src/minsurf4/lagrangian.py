@@ -99,30 +99,6 @@ def immersion_xyzw(spec, z):
     return (w1.real, w1.imag, w2.real, w2.imag)
 
 
-def immersion_xyzw_phase_dropped(spec, z, coord):
-    """Negative-control immersion: one real coordinate taken from the map
-    with the e^{i beta/2} factor dropped, the rest keeping it.
-
-    Dropping the phase on a whole complex slot is invisible to both the
-    symplectic and harmonicity residuals (a constant unit phase neither
-    breaks holomorphicity nor the Lagrangian frame), so the detectable
-    corruption mixes coordinates computed with inconsistent frames.
-    """
-    if coord not in (0, 1, 2, 3):
-        raise DomainError("coordinate index must be 0..3")
-    pair = _require_pair(spec)
-    f1 = to_complex(pair.F1.eval_at(z))
-    f2 = to_complex(pair.F2.eval_at(z))
-    c = cmath.exp(0.5j * spec.beta) / math.sqrt(2.0)
-    c0 = 1.0 / math.sqrt(2.0)
-    good = (c * (f1 - 1j * f2.conjugate()), c * (f2 + 1j * f1.conjugate()))
-    flat = (c0 * (f1 - 1j * f2.conjugate()), c0 * (f2 + 1j * f1.conjugate()))
-    vals = [good[0].real, good[0].imag, good[1].real, good[1].imag]
-    raw = [flat[0].real, flat[0].imag, flat[1].real, flat[1].imag]
-    vals[coord] = raw[coord]
-    return tuple(vals)
-
-
 def metric_curvature(spec, z):
     """(lambda^2, K) at z, evaluated in floats; degenerate points are
     refused, and so are poles of the spinors and points where z, lambda^2
@@ -162,39 +138,26 @@ def metric_spec(spec):
     return MetricSpec([(-spec.S2 / spec.S1, 1)], spec.S1)
 
 
-def _stencil_vals(fn, z, h):
-    z = to_complex(z)
-    try:
-        return (
-            fn(z),
-            fn(z + h),
-            fn(z - h),
-            fn(z + 1j * h),
-            fn(z - 1j * h),
-        )
-    except ZeroDivisionError as e:
-        raise BadStencil("stencil touches a pole") from e
-
-
-# central-difference step of lagrangian_minimality_check
+# central-difference step of the lagrangian command's stencil_residuals
 STENCIL_H = 1e-3
 
 
-def lagrangian_minimality_check(spec, z, h=STENCIL_H, drop_phase_coord=None):
-    """(symplectic residual, harmonicity residual) by central differences.
+def stencil_residuals(fn, z, h=STENCIL_H):
+    """(symplectic residual, harmonicity residual) at z by central
+    differences of fn, a map from complex points to four real coordinates
+    (u1, v1, u2, v2) such as `immersion_xyzw` of one spec.
 
     The symplectic residual is the pullback coefficient of
     du1^dv1 + du2^dv2; the harmonicity residual is the worst discrete
-    Laplacian among the four coordinates. drop_phase_coord switches to the
-    corrupted immersion for negative-control runs.
+    Laplacian among the four coordinates.
     """
     if h <= 0:
         raise BadStencil("stencil size must be positive")
-    if drop_phase_coord is None:
-        fn = lambda w: immersion_xyzw(spec, w)
-    else:
-        fn = lambda w: immersion_xyzw_phase_dropped(spec, w, drop_phase_coord)
-    f0, fxp, fxm, fyp, fym = _stencil_vals(fn, z, h)
+    z = to_complex(z)
+    try:
+        f0, fxp, fxm, fyp, fym = [fn(w) for w in (z, z + h, z - h, z + 1j * h, z - 1j * h)]
+    except ZeroDivisionError as e:
+        raise BadStencil("stencil touches a pole") from e
     dx = [(a - b) / (2 * h) for a, b in zip(fxp, fxm)]
     dy = [(a - b) / (2 * h) for a, b in zip(fyp, fym)]
     symp = abs(dx[0] * dy[1] - dy[0] * dx[1] + dx[2] * dy[3] - dy[2] * dx[3])

@@ -160,9 +160,6 @@ class LaurentPoly(Immutable):
 
     __call__ = eval
 
-    def times_z_power(self, k):
-        return LaurentPoly(self.lo + k, self.poly)
-
     def poly_part(self):
         """z^{-lo} * self as a Polynomial when lo <= 0, else z-padded."""
         return self._padded(min(self.lo, 0))

@@ -5,8 +5,7 @@ attribute line per vertex.
 
 `export_mesh` immerses a grid through `weierstrass.immerse`'s closed-form
 primitives, evaluated on Python complex scalars, so the `mesh` command never
-loads numpy; only the nonorientable pipeline and `loop_period` evaluate
-numpy arrays.
+loads numpy; only the nonorientable pipeline evaluates numpy arrays.
 """
 
 from __future__ import annotations

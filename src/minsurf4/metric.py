@@ -13,20 +13,17 @@ sigma <= -1, and |dz| >= |d|z - b|| bounds every divergent path below by the
 radial integral, so the radial rate decides all paths.
 
 The factors g_i and omega_hat are exact rational functions, so every
-exponent is an exact order of vanishing and every verdict is a proof. Floats
-appear only in the conformal factor and the curvature at float points.
+exponent is an exact order of vanishing and every verdict is a proof; no
+float enters this module.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
-from .errors import BadStencil, DomainError, ExponentUndefined
+from .errors import DomainError, ExponentUndefined
 from .domains import AT_INFINITY, INNER_CIRCLE, OUTER_CIRCLE, BoundaryPoint
 from .rational import INF, RationalFunction
 from .report import Record
-from .scalars import as_scalar, is_exact, to_complex
+from .scalars import as_scalar
 from .sphere import SpherePoint
 
 COMPLETENESS_RULE = (
@@ -54,42 +51,6 @@ class MetricSpec(Record):
         if not isinstance(omega_hat, RationalFunction) or omega_hat.is_zero():
             raise DomainError("omega_hat must be a nonzero rational function")
         super().__init__(tuple(facs), omega_hat)
-
-
-def conformal_factor(spec, z):
-    """lambda(z) as a float; math.inf at poles of the factor.
-
-    At an exact point everything is squared in rational arithmetic and one
-    square root is taken at the end.
-    """
-    if is_exact(z):
-        pt = as_scalar(z)
-        prod2 = Fraction(1)
-        winf, wval = spec.omega_hat.eval_extended(pt)
-        if winf:
-            return math.inf
-        prod2 *= wval.abs2()
-        for g, m in spec.factors:
-            if m == 0:
-                continue
-            ginf, gval = g.eval_extended(pt)
-            if ginf:
-                return math.inf
-            prod2 *= (1 + gval.abs2()) ** m
-        return math.sqrt(prod2)
-    zz = to_complex(z)
-    winf, wval = spec.omega_hat.eval_extended(zz)
-    if winf:
-        return math.inf
-    lam2 = abs(wval) ** 2
-    for g, m in spec.factors:
-        if m == 0:
-            continue
-        ginf, gval = g.eval_extended(zz)
-        if ginf:
-            return math.inf
-        lam2 *= (1.0 + abs(gval) ** 2) ** m
-    return math.sqrt(lam2)
 
 
 def exponent_at(spec, point):
@@ -160,16 +121,3 @@ def is_complete(spec, domain):
         overall = all(decided)
     return CompletenessReport(tuple(entries), overall)
 
-
-def gauss_curvature_numeric(spec, z, h=1e-3):
-    """K = -(laplacian log lambda)/lambda^2 by a 5-point stencil of size h."""
-    z = to_complex(z)
-    if h <= 0:
-        raise BadStencil("stencil size must be positive")
-    pts = [z, z + h, z - h, z + 1j * h, z - 1j * h]
-    lams = [conformal_factor(spec, p) for p in pts]
-    if any(not math.isfinite(l) or l <= 0.0 for l in lams):
-        raise BadStencil("stencil touches a pole or zero of the conformal factor")
-    logs = [math.log(l) for l in lams]
-    lap = (logs[1] + logs[2] + logs[3] + logs[4] - 4.0 * logs[0]) / (h * h)
-    return -lap / (lams[0] ** 2)

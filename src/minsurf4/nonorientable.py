@@ -32,18 +32,8 @@ from .meshing import Mesh
 from .poly import Polynomial, roots
 from .rational import RationalFunction
 from .report import Record, jsonable
-from .scalars import GaussianRational, as_scalar, format_scalar, is_exact, to_complex
+from .scalars import as_scalar, format_scalar
 from .sphere import SpherePoint, dedupe_points, format_point, missing_antipode, rp2_count
-
-
-def involution(z):
-    """I(z) = -1/conj(z); fixed-point-free since |z|^2 = -1 has no solution."""
-    if is_exact(z):
-        v = as_scalar(z)
-        if not v:
-            raise ZeroDivisionError("involution undefined at 0")
-        return -(GaussianRational(1) / v.conjugate())
-    return -1.0 / to_complex(z).conjugate()
 
 
 def check_weierstrass_symmetry(w):
@@ -100,9 +90,6 @@ class SymmetricLaurentData(Record):
 
     def a0(self):
         return tuple(p.coeff(0) for p in self.phi)
-
-    def max_index(self):
-        return max((max(abs(p.lo), abs(p.hi)) for p in self.phi if not p.is_zero()), default=0)
 
 
 class FCandidate(Record):

@@ -20,9 +20,9 @@ GaussianRationals only for their result, so exact results are the ones
 field arithmetic on Fraction pairs gives.
 
 Float evaluation takes a point through `float_point`, and nothing here
-imports numpy at module level. Only the nonorientable pipeline and
-`weierstrass.loop_period` evaluate numpy arrays; exact work and `mesh`, which
-evaluates its closed-form primitives on complex scalars, never load numpy.
+imports numpy at module level. Only the nonorientable pipeline evaluates
+numpy arrays; exact work and `mesh`, which evaluates its closed-form
+primitives on complex scalars, never load numpy.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numbers
 import re
 from fractions import Fraction
 
-from .errors import DomainError, RequiresExactMode
+from .errors import DomainError, RequiresExactMode, RootsNotConverged
 from .report import Immutable
 from .scalars import GaussianRational, as_scalar, format_scalar, is_exact, parse_scalar, to_complex
 
@@ -43,8 +43,8 @@ def float_point(z):
     LaurentPoly.eval for a point they evaluate in floats: a scalar, exact or a
     Python or numpy number, becomes a complex, and anything else is taken to
     be a numpy array of points for `horner`; only the nonorientable pipeline
-    and `loop_period` pass arrays. numpy scalars are registered as
-    `numbers.Number`s, so numpy is not imported to tell them apart.
+    passes arrays. numpy scalars are registered as `numbers.Number`s, so
+    numpy is not imported to tell them apart.
     """
     return complex(z) if isinstance(z, (GaussianRational, numbers.Number)) else z
 
@@ -55,7 +55,7 @@ def horner(ccoeffs, z):
     z is a complex scalar or a numpy array of points, evaluated elementwise;
     the float kernel under Polynomial.eval and LaurentPoly.eval. The scalar
     branch serves `mesh`'s closed-form primitives and never imports numpy;
-    the array branch serves the nonorientable pipeline and `loop_period`.
+    the array branch serves the nonorientable pipeline.
     """
     if isinstance(z, complex):
         acc = 0j
@@ -412,8 +412,14 @@ def squarefree_decomposition(p):
     return out
 
 
+# Aberth sweeps after which `_aberth` gives up on a factor and raises
+ABERTH_MAXITER = 200
+
+
 def _aberth(coeffs):
-    """All roots of a complex polynomial with simple roots expected."""
+    """All roots of a complex polynomial with simple roots expected; raises
+    RootsNotConverged when ABERTH_MAXITER sweeps leave a step above the
+    tolerance."""
     n = len(coeffs) - 1
     if n <= 0:
         return []
@@ -424,7 +430,7 @@ def _aberth(coeffs):
     zs = [radius * cmath.exp(2j * math.pi * (k / n) + 0.4j) * (1 + 0.01 * k / max(n, 1)) for k in range(n)]
     der = [k * cs[k] for k in range(1, n + 1)]
 
-    for _ in range(200):
+    for _ in range(ABERTH_MAXITER):
         moved = 0.0
         for i in range(n):
             z = zs[i]
@@ -451,6 +457,11 @@ def _aberth(coeffs):
             moved = max(moved, abs(step))
         if moved < 1e-14 * (1.0 + max(abs(z) for z in zs)):
             break
+    else:
+        raise RootsNotConverged(
+            f"roots of a degree-{n} factor not converged after {ABERTH_MAXITER} "
+            f"Aberth iterations: last step {moved:.3g}"
+        )
     # Newton polish
     for i in range(n):
         for _ in range(3):

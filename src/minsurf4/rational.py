@@ -152,11 +152,11 @@ class RationalFunction(Immutable):
     # -- evaluation ----------------------------------------------------------
 
     def eval_at(self, z):
-        """Value at a finite point, or elementwise at a numpy array of points;
-        raises ZeroDivisionError at a pole."""
+        """Value at a finite point: exact at an exact point, complex at a
+        float one; raises ZeroDivisionError at a pole."""
         n = self.num.eval(z)
         d = self.den.eval(z)
-        if not (d if isinstance(d, (GaussianRational, complex)) else d.all()):
+        if not d:
             raise ZeroDivisionError("pole")
         return n / d
 

@@ -175,10 +175,6 @@ def to_complex(x):
     return complex(x)
 
 
-def conj(x):
-    return x.conjugate()
-
-
 def format_scalar(x):
     """Canonical text form: 'a', 'bi', or 'a+bi' with rational a, b."""
     x = as_scalar(x)

@@ -1,14 +1,11 @@
-"""Points on the Riemann sphere, chordal distance, antipodes, RP^2 classes.
+"""Points on the Riemann sphere, antipodes, RP^2 classes.
 
-Chordal normalization: |a,b| = |a-b| / (sqrt(1+|a|^2) sqrt(1+|b|^2)) and
-|a,inf| = 1/sqrt(1+|a|^2), so the maximal distance is 1 and antipodal pairs
-realize it. Finite points are exact Gaussian rationals, so equality,
-antipodes and RP^2 classes are exact; only the chordal distance is a float.
+Finite points are exact Gaussian rationals, so equality, antipodes and RP^2
+classes are exact.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 
 from .errors import DomainError
@@ -89,19 +86,6 @@ def format_point(p):
     if p.is_infinity:
         return "inf"
     return format_scalar(p.value)
-
-
-def chordal(a, b):
-    """Chordal distance on the sphere, in [0, 1]."""
-    a = SpherePoint.of(a)
-    b = SpherePoint.of(b)
-    if a.is_infinity and b.is_infinity:
-        return 0.0
-    if a.is_infinity or b.is_infinity:
-        z = complex(b if a.is_infinity else a)
-        return 1.0 / math.sqrt(1.0 + abs(z) ** 2)
-    za, zb = complex(a), complex(b)
-    return abs(za - zb) / (math.sqrt(1.0 + abs(za) ** 2) * math.sqrt(1.0 + abs(zb) ** 2))
 
 
 def antipodal(p):

@@ -14,9 +14,8 @@ its principal parts at the poles a, so a primitive is a polynomial, powers
 Re(r_a log(z - a)) = r_a ln|z - a| is single-valued, which is the period
 condition (Osserman, A Survey of Minimal Surfaces); a nonreal residue
 raises MultivaluedImmersion. `immerse` evaluates the primitives point by
-point on Python complex scalars, so `mesh` never loads numpy. Only
-loop_period still integrates numerically, on one numpy array of nodes; with
-the nonorientable pipeline it is the only numpy user.
+point on Python complex scalars, so neither this module nor `mesh` loads
+numpy.
 """
 
 from __future__ import annotations
@@ -155,25 +154,6 @@ def check_regularity(p, domain):
     return RegularityReport(not offenders, offenders)
 
 
-def induced_metric_identity(p, samples):
-    """Worst relative error of 2 sum|phi_j|^2 == (1+|g1|^2)(1+|g2|^2)|omega_hat|^2."""
-    w = data_from_phis(p)
-    worst = 0.0
-    for z in samples:
-        zz = to_complex(z)
-        try:
-            lhs = 2.0 * sum(abs(phi.eval_at(zz)) ** 2 for phi in p.phi)
-            rhs = (
-                (1.0 + abs(w.g1.eval_at(zz)) ** 2)
-                * (1.0 + abs(w.g2.eval_at(zz)) ** 2)
-                * abs(w.omega_hat.eval_at(zz)) ** 2
-            )
-        except ZeroDivisionError:
-            continue
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst
-
-
 class PeriodReport(Record):
     __slots__ = ("residues", "well_defined")
 
@@ -260,13 +240,3 @@ def _immerse(p, domain, base, targets, poles):
         raise InvalidPath("a primitive is not finite at the base point or a target, at or near a pole")
     return [tuple(v - v0 for v, v0 in zip(row, x[0])) for row in x[1:]]
 
-
-def loop_period(p, center, radius):
-    """∮ phi_j dz on a circle, by the trapezoid rule at 2048 nodes (spectral
-    accuracy)."""
-    import numpy as np
-
-    c = to_complex(center)
-    w = radius * np.exp(2j * math.pi * np.arange(2048) / 2048)
-    dz = 2j * math.pi / 2048 * w
-    return tuple(complex(np.sum(phi.eval_at(c + w) * dz)) for phi in p.phi)

@@ -12,6 +12,7 @@ import math
 import pathlib
 import time
 from fractions import Fraction
+from functools import partial
 
 from minsurf4.cli import FALSIFY_FIELDS
 from minsurf4.config import load_config
@@ -20,19 +21,19 @@ from minsurf4.errors import BadStencil, DegeneratePoint
 from minsurf4.gaussmap import (
     FalsifyBounds,
     falsify,
-    lift_equivalence,
     nonorientable_check,
     verify_main_inequality,
 )
 from minsurf4.lagrangian import (
     HolomorphicPair,
     LagrangianSpec,
-    lagrangian_minimality_check,
+    immersion_xyzw,
     metric_curvature,
     metric_spec,
+    stencil_residuals,
 )
 from minsurf4.meshing import annulus_grid, export_mesh, mesh_text
-from minsurf4.metric import MetricSpec, gauss_curvature_numeric, is_complete
+from minsurf4.metric import MetricSpec, is_complete
 from minsurf4.nonorientable import (
     CoverSpec,
     SymmetricLaurentData,
@@ -49,15 +50,20 @@ from minsurf4.laurent import LaurentPoly
 from minsurf4.poly import Polynomial
 from minsurf4.rational import RationalFunction
 from minsurf4.report import canonical_json, jsonable, rows_to_csv
-from minsurf4.scalars import GaussianRational, conj, parse_scalar
+from minsurf4.scalars import GaussianRational, parse_scalar
 from minsurf4.weierstrass import (
     WeierstrassData,
     check_conformality,
     data_from_phis,
-    induced_metric_identity,
-    loop_period,
     period_residues,
     phis_from_data,
+)
+from oracles import (
+    gauss_curvature_numeric,
+    immersion_xyzw_phase_dropped,
+    induced_metric_identity,
+    lift_equivalence,
+    loop_period,
 )
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -229,12 +235,12 @@ def test_criterion_06_minimality_witnesses():
     for beta in (0.0, math.pi / 3.0):
         spec = _parabola(beta)
         for z in points:
-            symp, harm = lagrangian_minimality_check(spec, z, h=1e-3)
+            symp, harm = stencil_residuals(partial(immersion_xyzw, spec), z, h=1e-3)
             worst_clean = max(worst_clean, symp, harm)
     corrupted = 0.0
     spec = _parabola(math.pi / 3.0)
     for z in points:
-        symp, harm = lagrangian_minimality_check(spec, z, h=1e-3, drop_phase_coord=0)
+        symp, harm = stencil_residuals(partial(immersion_xyzw_phase_dropped, spec, coord=0), z, h=1e-3)
         corrupted = max(corrupted, symp, harm)
     ok = worst_clean < 1e-5 and corrupted > 1e-2
     _report(6, "minimality residuals < 1e-5; corrupted control > 1e-2", ok, f"clean {worst_clean:.3g}, corrupted {corrupted:.3g}")
@@ -260,7 +266,7 @@ def _symmetric_phi(rng, span=3, bound=3):
         if rng.random() < 0.6:
             c = GaussianRational(rng.randint(-bound, bound), rng.randint(-bound, bound))
             terms[n] = c
-            terms[-n] = conj(c) if n % 2 else -conj(c)
+            terms[-n] = c.conjugate() if n % 2 else -c.conjugate()
     return LaurentPoly.from_dict(terms)
 
 

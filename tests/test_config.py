@@ -53,7 +53,6 @@ def test_moebius_config_sections():
     assert block["k"] == 3
     assert block["R"] == 4.0
     assert len(block["declared_omitted"]) == 2
-    assert block["data"].max_index() == 1
 
 
 def test_need_raises_for_missing_section():

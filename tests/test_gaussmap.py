@@ -14,7 +14,6 @@ from minsurf4.gaussmap import (
     FalsifyBounds,
     exceptional_values,
     falsify,
-    lift_equivalence,
     nonorientable_check,
     r4_gauss_check,
     verify_main_inequality,
@@ -23,6 +22,7 @@ from minsurf4.metric import MetricSpec
 from minsurf4.poly import Polynomial, clear_denominators, clear_point, multiplicity_at
 from minsurf4.rational import INF, MoebiusTransform, RationalFunction
 from minsurf4.scalars import GaussianRational
+from oracles import lift_equivalence
 from minsurf4.sphere import INFINITY, SpherePoint, format_point
 
 

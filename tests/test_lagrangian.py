@@ -3,6 +3,7 @@ curvature, minimality witnesses, and the omitted-value bound."""
 
 import cmath
 import math
+from functools import partial
 
 import pytest
 
@@ -15,15 +16,15 @@ from minsurf4.lagrangian import (
     gauss_components,
     immersion_f,
     immersion_xyzw,
-    lagrangian_minimality_check,
     metric_curvature,
     metric_spec,
     nondegenerate,
     spinors,
+    stencil_residuals,
 )
-from minsurf4.metric import conformal_factor, gauss_curvature_numeric
 from minsurf4.rational import RationalFunction, format_rational
 from minsurf4.scalars import GaussianRational
+from oracles import conformal_factor, gauss_curvature_numeric, immersion_xyzw_phase_dropped
 
 
 def _z():
@@ -143,7 +144,7 @@ def test_minimality_residuals_small():
     for beta in (0.0, math.pi / 3):
         spec = _parabola(beta)
         for z in (0.0, 0.4 + 0.3j, -1.1 + 0.7j):
-            symp, harm = lagrangian_minimality_check(spec, z)
+            symp, harm = stencil_residuals(partial(immersion_xyzw, spec), z)
             assert symp < 1e-5
             assert harm < 1e-5
 
@@ -152,7 +153,7 @@ def test_phase_corruption_detected():
     spec = _parabola(math.pi / 3)
     worst = 0.0
     for z in (0.4 + 0.3j, -1.1 + 0.7j, 0.9 - 0.6j):
-        symp, harm = lagrangian_minimality_check(spec, z, drop_phase_coord=0)
+        symp, harm = stencil_residuals(partial(immersion_xyzw_phase_dropped, spec, coord=0), z)
         worst = max(worst, symp, harm)
     assert worst > 1e-2
 
@@ -160,18 +161,18 @@ def test_phase_corruption_detected():
 def test_phase_corruption_invisible_at_zero_angle():
     # at beta = 0 the dropped factor is 1, so the corruption vanishes
     spec = _parabola(0.0)
-    symp, harm = lagrangian_minimality_check(spec, 0.4 + 0.3j, drop_phase_coord=0)
+    symp, harm = stencil_residuals(partial(immersion_xyzw_phase_dropped, spec, coord=0), 0.4 + 0.3j)
     assert symp < 1e-5 and harm < 1e-5
 
 
 def test_bad_stencil_rejected():
     spec = _parabola()
     with pytest.raises(BadStencil):
-        lagrangian_minimality_check(spec, 0.0, h=0.0)
+        stencil_residuals(partial(immersion_xyzw, spec), 0.0, h=0.0)
     z = _z()
     pole_spec = LagrangianSpec.from_pair(HolomorphicPair(1 / z, z))
     with pytest.raises(BadStencil):
-        lagrangian_minimality_check(pole_spec, 0.0)
+        stencil_residuals(partial(immersion_xyzw, pole_spec), 0.0)
 
 
 def test_gauss_components():

@@ -1,5 +1,5 @@
-"""Conformal metrics: factor evaluation, boundary exponents, completeness,
-and the finite-difference curvature oracle."""
+"""Conformal metrics: boundary exponents and completeness, plus the float
+oracles of the conformal factor and the finite-difference curvature."""
 
 import math
 
@@ -10,14 +10,13 @@ from minsurf4.errors import DomainError, ExponentUndefined
 from minsurf4.metric import (
     MetricSpec,
     boundary_exponent,
-    conformal_factor,
     exponent_at,
-    gauss_curvature_numeric,
     is_complete,
 )
 from minsurf4.rational import INF, RationalFunction
 from minsurf4.scalars import GaussianRational
 from minsurf4.sphere import INFINITY, SpherePoint
+from oracles import conformal_factor, gauss_curvature_numeric
 
 
 def _z():

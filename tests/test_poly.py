@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import minsurf4.poly as poly_module
 from minsurf4.domains import derive_rng
+from minsurf4.errors import RootsNotConverged
 from minsurf4.poly import (
     Polynomial,
     format_poly,
@@ -172,6 +173,14 @@ def test_roots_triple():
     root, mult = found[0]
     assert mult == 3
     assert abs(root - 2.0) < 1e-8
+
+
+def test_roots_raise_when_the_iteration_cap_is_reached(monkeypatch):
+    # one Aberth sweep cannot bring the roots of z^3 + 1 from their spread
+    # start on a circle of radius 2 to within 1e-14
+    monkeypatch.setattr(poly_module, "ABERTH_MAXITER", 1)
+    with pytest.raises(RootsNotConverged, match=r"degree-3 factor not converged after 1 Aberth iterations: last step "):
+        roots(parse_poly("(1)*z^3 + (1)"))
 
 
 def test_roots_against_companion_oracle():

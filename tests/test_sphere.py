@@ -1,4 +1,5 @@
-"""Riemann sphere points, chordal metric, antipodes, RP^2 class counting."""
+"""Riemann sphere points, antipodes (isometries of the chordal oracle), RP^2
+class counting."""
 
 import math
 
@@ -10,12 +11,12 @@ from minsurf4.sphere import (
     RP2Point,
     SpherePoint,
     antipodal,
-    chordal,
     dedupe_points,
     format_point,
     rp2_count,
 )
 from minsurf4.scalars import GaussianRational
+from oracles import chordal
 
 
 def _random_point(rng, bound=5):

@@ -24,11 +24,10 @@ from minsurf4.weierstrass import (
     check_regularity,
     data_from_phis,
     immerse,
-    induced_metric_identity,
-    loop_period,
     period_residues,
     phis_from_data,
 )
+from oracles import induced_metric_identity, loop_period
 
 
 def _z():
