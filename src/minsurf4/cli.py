@@ -53,12 +53,7 @@ from .report import (
     write_text_atomic,
 )
 from .scalars import parse_scalar
-from .weierstrass import (
-    check_conformality,
-    check_regularity,
-    period_residues,
-    phis_from_data,
-)
+from .weierstrass import check_conformality, phis_from_data
 
 FALSIFY_FIELDS = [
     "index",
@@ -255,6 +250,10 @@ def cmd_nonorientable(args):
 
 
 def cmd_mesh(args):
+    """Mesh the configured data. `export_mesh` decides regularity and the
+    periods once, refusing irregular data and nonreal residues; the report
+    states the decisions it returns, and `periods_well_defined` is null off
+    punctured planes."""
     cfg = load_config(args.config)
     w = cfg.need("weierstrass")
     domain = cfg.need("domain")
@@ -268,16 +267,14 @@ def cmd_mesh(args):
     else:
         grid = annulus_grid(*grid_cfg["r"], grid_cfg["n_r"], grid_cfg["n_theta"])
     base = parse_scalar(mesh_cfg["base"])
-    mesh = export_mesh(phis, domain, grid, base)
+    mesh, regularity, periods = export_mesh(phis, domain, grid, base)
     text = mesh_text(mesh)
     results = {
         "vertices": len(mesh.vertices),
         "faces": len(mesh.faces),
         "mesh_sha256": hashlib.sha256(text.encode("ascii")).hexdigest(),
-        "regular": check_regularity(phis, domain).regular,
-        "periods_well_defined": period_residues(domain=domain, p=phis).well_defined
-        if isinstance(domain, PuncturedPlane)
-        else None,
+        "regular": regularity.regular,
+        "periods_well_defined": None if periods is None else periods.well_defined,
     }
     report = build_report(
         "mesh",

@@ -17,7 +17,7 @@ from .errors import DomainError, IrregularData
 from .poly import roots
 from .report import Record
 from .scalars import to_complex
-from .weierstrass import _immerse, check_regularity
+from .weierstrass import _immerse, check_regularity, real_periods
 
 FLOAT_FMT = "%.17g"
 
@@ -111,16 +111,23 @@ def annulus_grid(r_lo, r_hi, n_r, n_theta):
 
 
 def export_mesh(p, domain, grid, base):
-    """Immerse a structured grid and triangulate it.
+    """Immerse a structured grid and triangulate it: (mesh, regularity,
+    periods), the mesh with the RegularityReport and the PeriodReport (None
+    off punctured planes) it was built on, so a report reads each exact
+    decision from the one run made here.
 
-    grid is (points, faces) from one of the builders. Irregular data is
-    refused; grid points hitting a pole are skipped with a warning and their
-    faces dropped.
+    grid is (points, faces) from one of the builders. Forms with a common
+    zero or a pole inside the domain raise IrregularData naming the points,
+    and nonreal residues at the punctures raise MultivaluedImmersion
+    (`real_periods`). Grid points hitting a pole are skipped with a warning
+    and their faces dropped.
     """
     reg = check_regularity(p, domain)
-    if not reg.regular:
-        bad = ", ".join(f"{z:.6g}" for z in reg.branch_points)
-        raise IrregularData(f"forms share zeros inside the domain at: {bad}")
+    if reg.branch_points:
+        raise IrregularData(f"forms share zeros inside the domain at: {_points(reg.branch_points)}")
+    if reg.poles:
+        raise IrregularData(f"forms have poles inside the domain at: {_points(reg.poles)}")
+    periods = real_periods(p, domain)
     points, faces = grid
     poles = [roots(phi.den) for phi in p.phi]
     singular = [to_complex(q) for q in domain.punctures]
@@ -136,9 +143,13 @@ def export_mesh(p, domain, grid, base):
         alive.append(z)
     if skipped:
         warnings.warn(f"skipped {skipped} grid points at poles", stacklevel=2)
-    xs = _immerse(p, domain, base, alive, poles)
+    xs = _immerse(p, base, alive, poles)
     new_faces = []
     for f in faces:
         if all(i in index_map for i in f):
             new_faces.append(tuple(index_map[i] for i in f))
-    return Mesh(xs, new_faces, {"skipped-points": skipped})
+    return Mesh(xs, new_faces, {"skipped-points": skipped}), reg, periods
+
+
+def _points(zs):
+    return ", ".join(f"{z:.6g}" for z in zs)

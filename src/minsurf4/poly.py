@@ -11,13 +11,16 @@ The exact kernel runs in Python integers. `clear_denominators` writes an
 exact polynomial as 1/L times Gaussian-integer coefficients, given as
 (re, im) pairs, with L the lcm of the coefficient denominators, and
 `clear_point` writes an exact point as s/d with s in Z[i] and d a positive
-integer. The product, division, `monic`, the gcd (a primitive PRS over
-Z[i]), exact evaluation (`zi_horner`), `RationalFunction.eval_extended`,
-`multiplicity_at` (`zi_multiplicity`), the omission test of
-`gaussmap.exceptional_values` and the conformality identity of
-`weierstrass.check_conformality` work on those pairs and build
-GaussianRationals only for their result, so exact results are the ones
-field arithmetic on Fraction pairs gives.
+integer. Two point kernels run on them: `zi_horner`, the homogenized
+Horner value, and `zi_taylor`, a synthetic-division Taylor shift that
+yields the Taylor coefficients at s/d one at a time. The product, division,
+`monic`, the gcd (a primitive PRS over Z[i]), exact evaluation and
+`RationalFunction.eval_extended` (`zi_horner`), `multiplicity_at`, the
+omission test of `gaussmap.exceptional_values` (`zi_multiplicity`, the
+leading zeros of `zi_taylor`), `RationalFunction.residue_at` (`zi_taylor`)
+and the conformality identity of `weierstrass.check_conformality` work on
+those pairs and build GaussianRationals only for their result, so exact
+results are the ones field arithmetic on Fraction pairs gives.
 
 Float evaluation takes a point through `float_point`, and nothing here
 imports numpy at module level. Only the nonorientable pipeline evaluates
@@ -510,29 +513,42 @@ def zi_horner(pairs, sr, si, d):
     return ar, ai
 
 
-def zi_multiplicity(pairs, sr, si, d):
-    """Order of vanishing at s/d of the polynomial P with ascending
-    Gaussian-integer coefficients P_0..P_n, s = sr + i si.
+def zi_taylor(pairs, sr, si, d):
+    """Taylor coefficients at s/d, one at a time, of the polynomial P with
+    ascending Gaussian-integer coefficients P_0..P_n, s = sr + i si.
 
     Q(w) = d^n P(w/d) = sum P_k d^(n-k) w^k has Gaussian-integer
-    coefficients and vanishes at w = s to the same order as P at s/d, so
-    synthetic division by w - s runs in Python integers alone.
+    coefficients, and repeated synthetic division by w - s shifts it in
+    place to Q(s + t) = sum_j q_j t^j, in Python integers alone. The j-th
+    value yielded is q_j = d^(n-j) c_j, with c_j the coefficient of t^j in
+    P(s/d + t); pass j costs n - j steps, so a caller that stops early does
+    no work for the coefficients it does not read.
     """
     n = len(pairs) - 1
-    cr = [r * d ** (n - k) for k, (r, _) in enumerate(pairs)]
-    ci = [i * d ** (n - k) for k, (_, i) in enumerate(pairs)]
-    m = 0
-    while len(cr) > 1:
-        qr, qi = [0] * (len(cr) - 1), [0] * (len(cr) - 1)
-        br, bi = cr[-1], ci[-1]
-        for k in range(len(cr) - 2, -1, -1):
-            qr[k], qi[k] = br, bi
+    cr, ci = [0] * (n + 1), [0] * (n + 1)
+    dk = 1
+    for k in range(n, -1, -1):
+        cr[k], ci[k] = pairs[k][0] * dk, pairs[k][1] * dk
+        dk *= d
+    for j in range(n):
+        br, bi = cr[n], ci[n]
+        for k in range(n - 1, j - 1, -1):
             br, bi = cr[k] + br * sr - bi * si, ci[k] + br * si + bi * sr
-        if br or bi:
-            break
-        cr, ci = qr, qi
+            cr[k], ci[k] = br, bi
+        yield br, bi
+    yield cr[n], ci[n]
+
+
+def zi_multiplicity(pairs, sr, si, d):
+    """Order of vanishing at s/d of the nonzero polynomial P with ascending
+    Gaussian-integer coefficients, s = sr + i si: the number of leading
+    zeros among its `zi_taylor` coefficients, read until the first nonzero
+    one."""
+    m = 0
+    for r, i in zi_taylor(pairs, sr, si, d):
+        if r or i:
+            return m
         m += 1
-    return m
 
 
 def multiplicity_at(p, point):

@@ -10,6 +10,7 @@ exact points only; floats enter as evaluation points.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, islice
 
 from .errors import DomainError, UnsupportedPoint
 from .poly import (
@@ -22,6 +23,7 @@ from .poly import (
     multiplicity_at,
     parse_poly,
     zi_horner,
+    zi_taylor,
 )
 from .report import Immutable
 from .scalars import GaussianRational, as_scalar, is_exact
@@ -200,20 +202,28 @@ class RationalFunction(Immutable):
         return max(0, -self.order_at(point))
 
     def residue_at(self, point):
-        """Residue of self dz at a finite exact point, by local power-series
-        division (reduced form, so the numerator is a unit at any pole); a
-        float point raises RequiresExactMode."""
+        """Residue of self dz at a finite exact point; a float point raises
+        RequiresExactMode.
+
+        num and den are cleared once, and `zi_taylor` shifts each to the
+        point. They are coprime, so the pole order k is the number of
+        leading zeros of den's Taylor coefficients, and the residue is
+        coefficient k - 1 of the series quotient of num's first k
+        coefficients by den's coefficients k to 2k - 1.
+        """
         if point is INF:
             raise UnsupportedPoint("residue at infinity is not supported; use a chart")
-        pt = as_scalar(point)
+        sr, si, d = clear_point(point)
         if self.is_zero():
             return GaussianRational(0)
-        k = -self.order_at(pt)
-        if k <= 0:
+        _, (num, den) = clear_denominators(self.num, self.den)
+        den_t = zi_taylor(den, sr, si, d)
+        k, lead = next((j, q) for j, q in enumerate(den_t) if any(q))
+        if k == 0:
             return GaussianRational(0)
-        num_s = _taylor_at(self.num, pt, k)
-        den_s = _taylor_at(self.den, pt, 2 * k)
-        return _series_div(num_s, den_s[k:], k)[k - 1]
+        num_s = _exact_coeffs(zi_taylor(num, sr, si, d), len(num) - 1, d, 0, k)
+        den_s = _exact_coeffs(chain([lead], den_t), len(den) - 1, d, k, k)
+        return _series_div(num_s, den_s, k)[k - 1]
 
     def is_identically_zero(self):
         """Exact zero test by evaluation at deg+1 distinct integer points.
@@ -276,22 +286,33 @@ def quotient_at(num, den, point):
     return False, GaussianRational(Fraction(re_, scale), Fraction(im_, scale))
 
 
+def _exact_coeffs(taylor, n, d, start, count):
+    """The coefficients of t^start .. t^(start+count-1) in P(s/d + t), for a
+    degree-n P whose `zi_taylor` values from q_start on are `taylor`: each
+    q_j / d^(n-j) as a GaussianRational, and zeros past the degree. P is a
+    cleared polynomial, so they carry the factor L of `clear_denominators`;
+    it cancels in a quotient of two polynomials cleared together."""
+    out = []
+    for j, (r, i) in enumerate(islice(taylor, count), start):
+        scale = d ** (n - j)
+        out.append(GaussianRational(Fraction(r, scale), Fraction(i, scale)))
+    return out + [GaussianRational(0)] * (count - len(out))
+
+
 def _taylor_at(p, pt, nterms):
-    """First nterms coefficients of p(pt + t) as a polynomial in t: exact at
-    an exact point, complex at a float one (the poles `immerse` expands at)."""
+    """First nterms coefficients of p(pt + t) as a polynomial in t, complex,
+    at a float point pt (the poles `immerse` expands at): p^(k)(pt) / k!
+    along the derivative chain."""
     coeffs = []
     cur = p
     fact = 1
-    one = GaussianRational(1) if is_exact(pt) else 1.0
     for k in range(nterms):
-        coeffs.append(cur.eval(pt) * (one / fact))
+        coeffs.append(cur.eval(pt) * (1.0 / fact))
         cur = cur.derivative()
         fact *= k + 1
         if cur.is_zero():
             coeffs.extend([coeffs[0] * 0] * (nterms - len(coeffs)))
             break
-    while len(coeffs) < nterms:
-        coeffs.append(coeffs[0] * 0)
     return coeffs
 
 

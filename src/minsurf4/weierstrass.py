@@ -139,19 +139,22 @@ def check_conformality(p):
 
 
 class RegularityReport(Record):
-    __slots__ = ("regular", "branch_points")
+    __slots__ = ("regular", "branch_points", "poles")
 
 
 def check_regularity(p, domain):
-    """No common zero of the four forms inside the domain.
+    """No common zero and no pole of the four forms inside the domain.
 
     Reduced fractions cannot vanish at their own poles, so the common zeros
     are exactly the roots of gcd of the four numerators; the zero form is the
-    gcd identity element. `domains.zeros_inside` keeps those inside the
-    domain, placing each puncture exactly.
+    gcd identity element. The poles are the roots of the denominators, each
+    distinct one taken once. `domains.zeros_inside` keeps those inside the
+    domain, placing each puncture exactly; a pole found twice is listed once.
     """
-    offenders = tuple(zeros_inside([phi.num for phi in p.phi], domain))
-    return RegularityReport(not offenders, offenders)
+    branch_points = tuple(zeros_inside([phi.num for phi in p.phi], domain))
+    dens = dict.fromkeys(phi.den for phi in p.phi)
+    poles = tuple(dict.fromkeys(z for den in dens for z in zeros_inside([den], domain)))
+    return RegularityReport(not branch_points and not poles, branch_points, poles)
 
 
 class PeriodReport(Record):
@@ -213,22 +216,34 @@ def _primitive(phi, poles):
     return value
 
 
+def real_periods(p, domain):
+    """period_residues on a punctured plane, None on any other domain. A
+    nonreal residue raises MultivaluedImmersion, since Re int is then
+    path-dependent."""
+    if not isinstance(domain, PuncturedPlane):
+        return None
+    periods = period_residues(p, domain)
+    if not periods.well_defined:
+        raise MultivaluedImmersion("nonreal residues make Re int path-dependent")
+    return periods
+
+
 def immerse(p, domain, base, targets):
     """X(target) = Re(P(target) - P(base)) for the closed-form primitives P of
     the forms, evaluated point by point on complex scalars; a list of 4-tuples.
 
-    A nonreal residue at a listed puncture or at any pole of the forms raises
-    MultivaluedImmersion, since Re int is then path-dependent.
+    A nonreal residue at a listed puncture (`real_periods`) or at any pole of
+    the forms (`_primitive`) raises MultivaluedImmersion, since Re int is
+    then path-dependent.
     """
-    return _immerse(p, domain, base, targets, [roots(phi.den) for phi in p.phi])
+    real_periods(p, domain)
+    return _immerse(p, base, targets, [roots(phi.den) for phi in p.phi])
 
 
-def _immerse(p, domain, base, targets, poles):
-    """immerse, given roots(phi.den) for each form phi in `poles`. A base
-    point or target where some Re P is not a finite float raises InvalidPath."""
-    if isinstance(domain, PuncturedPlane) and domain.punctures:
-        if not period_residues(p, domain).well_defined:
-            raise MultivaluedImmersion("nonreal residues make Re int path-dependent")
+def _immerse(p, base, targets, poles):
+    """immerse without the exact period decision, given roots(phi.den) for
+    each form phi in `poles`. A base point or target where some Re P is not
+    a finite float raises InvalidPath."""
     primitives = [_primitive(phi, a) for phi, a in zip(p.phi, poles)]
     points = [to_complex(base)] + [to_complex(t) for t in targets]
     try:
@@ -239,4 +254,3 @@ def _immerse(p, domain, base, targets, poles):
     if not finite:
         raise InvalidPath("a primitive is not finite at the base point or a target, at or near a pole")
     return [tuple(v - v0 for v, v0 in zip(row, x[0])) for row in x[1:]]
-

@@ -1,8 +1,9 @@
-"""Float oracles that only the tests call.
+"""Oracles that only the tests call.
 
 Each one checks an exact or closed-form result of the package by an
-independent float computation, so it lives beside the tests rather than in
-`minsurf4`, whose modules hold only what the commands run:
+independent computation, in floats but for the last, so it lives beside the
+tests rather than in `minsurf4`, whose modules hold only what the commands
+run:
 
 - `conformal_factor` and `gauss_curvature_numeric`: the metric's factor and
   a 5-point stencil for its curvature (criterion 5);
@@ -14,7 +15,10 @@ independent float computation, so it lives beside the tests rather than in
   negative control;
 - `chordal`: the chordal distance, for which antipodes are isometries;
 - `involution`: I(z) = -1/conj(z) at a point, which the nonorientable
-  pipeline applies only as an exact coefficient identity.
+  pipeline applies only as an exact coefficient identity;
+- `taylor_at` and `residue_by_derivatives`: exact Taylor coefficients along
+  the derivative chain p^(k)(a)/k!, and the residue built from them, against
+  `RationalFunction.residue_at`'s Taylor-shift kernel in Z[i].
 """
 
 import cmath
@@ -22,6 +26,7 @@ import math
 from fractions import Fraction
 
 from minsurf4.errors import BadStencil, DomainError
+from minsurf4.rational import _series_div
 from minsurf4.scalars import GaussianRational, as_scalar, is_exact, to_complex
 from minsurf4.sphere import SpherePoint
 from minsurf4.weierstrass import data_from_phis
@@ -167,3 +172,20 @@ def involution(z):
             raise ZeroDivisionError("involution undefined at 0")
         return -(GaussianRational(1) / v.conjugate())
     return -1.0 / to_complex(z).conjugate()
+
+
+def taylor_at(p, a, nterms):
+    """First nterms coefficients of p(a + t) in t, at an exact point a, as
+    p^(k)(a)/k! along the exact derivative chain."""
+    coeffs = []
+    for k in range(nterms):
+        coeffs.append(p.eval(a) * GaussianRational(Fraction(1, math.factorial(k))))
+        p = p.derivative()
+    return coeffs
+
+
+def residue_by_derivatives(r, a, k):
+    """Residue of r dz at a pole of order k at the exact point a: coefficient
+    k - 1 of the series quotient of num's first k Taylor coefficients by
+    den's coefficients k to 2k - 1."""
+    return _series_div(taylor_at(r.num, a, k), taylor_at(r.den, a, 2 * k)[k:], k)[k - 1]

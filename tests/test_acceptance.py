@@ -372,7 +372,7 @@ def test_criterion_10_deterministic_artifacts():
     domain = PuncturedPlane([0])
     grid = annulus_grid(0.5, 2.0, 6, 16)
     meshes = [
-        mesh_text(export_mesh(phis, domain, grid, GaussianRational(1)))
+        mesh_text(export_mesh(phis, domain, grid, GaussianRational(1))[0])
         for _ in range(2)
     ]
     data = SymmetricLaurentData(

@@ -233,10 +233,11 @@ def _write_config(tmp_path, name, doc):
     return str(path)
 
 
-# The three regularity probes of ROADMAP direction 3: no command yet checks
-# that the metric, or the forms, are finite and nonzero inside the domain.
-# Each test asserts that today's wrong outcome is absent, so it fails now and
-# turns into an unexpected pass, which strict=True reports, once the gate lands.
+# The three regularity probes of ROADMAP direction 3. `mesh` refuses a pole of
+# the forms inside the domain; no command yet checks that the metric is finite
+# and nonzero there. Each probe asserts that the wrong outcome is absent; the
+# two metric probes fail today and turn into unexpected passes, which
+# strict=True reports, once the gate lands.
 _NO_REGULARITY_GATE = pytest.mark.xfail(strict=True, reason="no regularity gate inside the domain (ROADMAP direction 3)")
 
 
@@ -267,14 +268,14 @@ def test_a_pole_of_omega_hat_inside_the_domain_is_not_verified(tmp_path, capsys)
     assert json.loads(out)["results"]["verdict"] != "verified"
 
 
-@_NO_REGULARITY_GATE
 def test_a_pole_of_the_forms_inside_the_domain_is_not_regular(tmp_path, capsys):
     # without the puncture 0, the catenoid's forms have a pole inside the
-    # domain; today mesh exits 0 and reports regular: true
+    # domain; mesh refuses the data (before the gate it exited 0 and
+    # reported regular: true)
     doc = json.loads((CONFIG_DIR / "catenoid-mesh.json").read_text())
     doc["domain"]["punctures"] = []
-    code, out, _ = _run(["mesh", "--config", _write_config(tmp_path, "probe-c.json", doc)], capsys)
-    assert code != 0 or json.loads(out)["results"]["regular"] is not True
+    code, out, err = _run(["mesh", "--config", _write_config(tmp_path, "probe-c.json", doc)], capsys)
+    assert (code, out, err) == (1, "", "error: forms have poles inside the domain at: 0+0j\n")
 
 
 def test_falsify_draw_cap_exits_1(monkeypatch, capsys):
@@ -493,6 +494,58 @@ def test_mesh_export_hash_consistency(tmp_path, capsys):
     mesh_bytes = (out_dir / "catenoid.mesh").read_bytes()
     assert hashlib.sha256(mesh_bytes).hexdigest() == rep["results"]["mesh_sha256"]
     assert sorted(p.name for p in out_dir.iterdir()) == ["catenoid.mesh", "mesh.json"]
+
+
+def test_one_mesh_command_decides_each_residue_once(monkeypatch, capsys):
+    """One catenoid `mesh` command runs check_regularity and period_residues
+    once each, so it makes one residue_at call per form at the one puncture,
+    and no residue decision calls multiplicity_at: the pole order is read off
+    the Taylor coefficients the residue is built from."""
+    import minsurf4.cli as cli
+    import minsurf4.domains as domains
+    import minsurf4.meshing as meshing
+    import minsurf4.poly as poly
+    import minsurf4.rational as rational
+    import minsurf4.weierstrass as weierstrass
+
+    calls = {"check_regularity": 0, "period_residues": 0, "residue_at": 0, "multiplicity_at in residue_at": 0}
+    in_residue = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("check_regularity", "period_residues"):
+        fn = getattr(weierstrass, name)
+        for module in (cli, meshing, weierstrass):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    residue_at = rational.RationalFunction.residue_at
+
+    def residue(self, point):
+        calls["residue_at"] += 1
+        in_residue.append(point)
+        try:
+            return residue_at(self, point)
+        finally:
+            in_residue.pop()
+
+    multiplicity_at = poly.multiplicity_at
+
+    def multiplicity(p, point):
+        if in_residue:
+            calls["multiplicity_at in residue_at"] += 1
+        return multiplicity_at(p, point)
+
+    monkeypatch.setattr(rational.RationalFunction, "residue_at", residue)
+    for module in (poly, rational, domains):
+        monkeypatch.setattr(module, "multiplicity_at", multiplicity)
+    code, out, _ = _run(["mesh", "--config", str(CONFIG_DIR / "catenoid-mesh.json")], capsys)
+    assert code == 0 and json.loads(out)["results"]["periods_well_defined"] is True
+    assert calls == {"check_regularity": 1, "period_residues": 1, "residue_at": 4, "multiplicity_at in residue_at": 0}
 
 
 def test_seed_changes_falsify_draws(capsys):

@@ -4,7 +4,7 @@ import cmath
 
 import pytest
 
-from minsurf4.domains import PuncturedPlane
+from minsurf4.domains import Annulus, PuncturedPlane
 from minsurf4.errors import DomainError, IrregularData
 from minsurf4.meshing import (
     Mesh,
@@ -68,8 +68,8 @@ def test_export_mesh_deterministic():
     phis = _catenoid_phis()
     domain = PuncturedPlane([GaussianRational(0)])
     grid = annulus_grid(0.5, 2.0, 4, 12)
-    m1 = export_mesh(phis, domain, grid, 1.0)
-    m2 = export_mesh(phis, domain, grid, 1.0)
+    m1, _, _ = export_mesh(phis, domain, grid, 1.0)
+    m2, _, _ = export_mesh(phis, domain, grid, 1.0)
     assert mesh_text(m1) == mesh_text(m2)
     assert len(m1.vertices) == 48
     assert len(m1.faces) == 72
@@ -79,7 +79,7 @@ def test_export_mesh_catenoid_closed_form():
     # X = Re(-z/2 - 1/(2z), i(z/2 - 1/(2z)), log z, 0) - X(1)
     phis = _catenoid_phis()
     points, faces = annulus_grid(0.5, 2.0, 4, 12)
-    mesh = export_mesh(phis, PuncturedPlane([GaussianRational(0)]), (points, faces), 1.0)
+    mesh, _, _ = export_mesh(phis, PuncturedPlane([GaussianRational(0)]), (points, faces), 1.0)
     for z, v in zip(points, mesh.vertices):
         want = ((-z / 2 - 1 / (2 * z)).real + 1.0, (0.5j * (z - 1 / z)).real, cmath.log(z).real, 0.0)
         assert max(abs(a - b) for a, b in zip(v, want)) < 1e-12
@@ -90,7 +90,7 @@ def test_export_mesh_skips_poles():
     domain = PuncturedPlane([GaussianRational(0)])
     grid = plane_grid((-1, 1), (-1, 1), 5, 5)  # includes the pole at 0
     with pytest.warns(UserWarning):
-        mesh = export_mesh(phis, domain, grid, 1.0)
+        mesh, _, _ = export_mesh(phis, domain, grid, 1.0)
     assert len(mesh.vertices) == 24
     assert mesh.metadata["skipped-points"] == 1
     assert all(0 <= i < 24 for f in mesh.faces for i in f)
@@ -104,3 +104,20 @@ def test_export_mesh_refuses_irregular():
     grid = plane_grid((2, 3), (2, 3), 3, 3)
     with pytest.raises(IrregularData):
         export_mesh(scaled, domain, grid, 2.5)
+
+
+def test_export_mesh_returns_the_decisions_it_made():
+    phis = _catenoid_phis()
+    grid = annulus_grid(0.5, 2.0, 4, 12)
+    _, reg, periods = export_mesh(phis, PuncturedPlane([GaussianRational(0)]), grid, 1.0)
+    assert (reg.regular, reg.branch_points, reg.poles) == (True, (), ())
+    assert periods.well_defined
+    assert [res for _, res in periods.residues] == [(0, 0, 1, 0)]
+    # off punctured planes there are no period residues to decide
+    _, reg, periods = export_mesh(phis, Annulus(2.5), grid, 1.0)
+    assert reg.regular and periods is None
+
+
+def test_export_mesh_refuses_a_pole_inside_the_domain():
+    with pytest.raises(IrregularData, match=r"forms have poles inside the domain at: 0\+0j$"):
+        export_mesh(_catenoid_phis(), PuncturedPlane([]), annulus_grid(0.5, 2.0, 4, 12), 1.0)

@@ -1,6 +1,7 @@
 """Exact polynomials and the root finder against a companion-matrix oracle."""
 
 from fractions import Fraction as F
+from math import comb
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from minsurf4.domains import derive_rng
 from minsurf4.errors import RootsNotConverged
 from minsurf4.poly import (
     Polynomial,
+    clear_denominators,
+    clear_point,
     format_poly,
     gcd,
     gcd_many,
@@ -20,8 +23,10 @@ from minsurf4.poly import (
     parse_poly,
     roots,
     squarefree_decomposition,
+    zi_multiplicity,
+    zi_taylor,
 )
-from minsurf4.scalars import GaussianRational
+from minsurf4.scalars import GaussianRational, as_scalar
 
 
 def _random_poly(rng, max_deg=4, bound=4):
@@ -227,6 +232,45 @@ def test_multiplicity_at_rational_points_and_coefficients():
     assert multiplicity_at(p, GaussianRational(F(1, 2))) == 0
     assert multiplicity_at(p + GaussianRational(F(1, 9)), a) == 0
     assert multiplicity_at(Polynomial([GaussianRational(F(2, 3))]), a) == 0
+
+
+def _fraction_taylor(coeffs, z, j):
+    """The coefficient of t^j in p(z + t), sum_k binom(k, j) c_k z^(k-j), on
+    (re, im) pairs of Fractions."""
+    z = as_scalar(z)
+    sr = si = F(0)
+    for k in range(j, len(coeffs)):
+        pr, pi = F(1), F(0)
+        for _ in range(k - j):
+            pr, pi = pr * z.re - pi * z.im, pr * z.im + pi * z.re
+        c = coeffs[k]
+        sr += comb(k, j) * (c.re * pr - c.im * pi)
+        si += comb(k, j) * (c.re * pi + c.im * pr)
+    return sr, si
+
+
+@given(
+    st.lists(_gaussian, min_size=1, max_size=5).filter(lambda c: c[-1]),
+    st.one_of(_gaussian, _parts, st.integers(-5, 5), st.sampled_from([0, GaussianRational(0, 1)])),
+    st.integers(0, 3),
+)
+@example([1], 0, 3)
+@example([GaussianRational(F(2, 3), -1), 1], GaussianRational(0, 1), 2)
+def test_zi_taylor_matches_the_binomial_expansion(cofactor, a, m):
+    """On p = (z - a)^m times a drawn cofactor, every coefficient zi_taylor
+    yields is d^(n-j) L times the Fraction binomial expansion of p(a + t),
+    and the number of leading zeros is multiplicity_at(p, a), at least m."""
+    p = Polynomial([-as_scalar(a), 1]) ** m * Polynomial(cofactor)
+    lcd, (pairs,) = clear_denominators(p)
+    sr, si, d = clear_point(a)
+    taylor = list(zi_taylor(pairs, sr, si, d))
+    n = p.degree
+    assert len(taylor) == n + 1
+    for j, (r, i) in enumerate(taylor):
+        scale = lcd * d ** (n - j)
+        assert (F(r, scale), F(i, scale)) == _fraction_taylor(p.coeffs, a, j)
+    zeros = next(j for j, (r, i) in enumerate(taylor) if r or i)
+    assert zeros == multiplicity_at(p, a) == zi_multiplicity(pairs, sr, si, d) >= m
 
 
 # -- the Gaussian-integer kernel against schoolbook field arithmetic -----------

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from minsurf4.domains import derive_rng
@@ -17,6 +17,7 @@ from minsurf4.rational import (
     parse_rational,
 )
 from minsurf4.scalars import GaussianRational
+from oracles import residue_by_derivatives
 
 
 def _z():
@@ -112,6 +113,20 @@ def test_residue_examples():
     assert z.residue_at(GaussianRational(2)) == GaussianRational(0)
     # identically-zero numerator
     assert RationalFunction.constant(0).residue_at(GaussianRational(0)) == GaussianRational(0)
+
+
+@given(st.data())
+def test_residue_matches_the_derivative_chain(data):
+    """At a pole of order 1-3 at a Gaussian-rational point, 0 and i among
+    them, residue_at equals the residue built from the exact derivative
+    chain of num and den."""
+    a = data.draw(st.one_of(st.sampled_from([GaussianRational(0), GaussianRational(0, 1)]), _gaussian))
+    k = data.draw(st.integers(1, 3))
+    num = Polynomial(data.draw(st.lists(_gaussian, min_size=1, max_size=4)))
+    assume(num.eval(a))
+    others = Polynomial.from_roots(data.draw(st.lists(_gaussian.filter(lambda b: b != a), max_size=2)))
+    r = RationalFunction(num, Polynomial([-a, 1]) ** k * others * data.draw(_gaussian.filter(bool)))
+    assert r.residue_at(a) == residue_by_derivatives(r, a, k)
 
 
 def test_residue_additivity_random():

@@ -207,6 +207,20 @@ def test_regularity_sees_a_branch_point_near_a_puncture():
     assert rep.branch_points == (pytest.approx(1e-10, abs=1e-20),)
 
 
+def test_regularity_refuses_a_pole_inside_the_domain():
+    # the catenoid's forms have their poles at 0: inside the plane, at the
+    # puncture of C^*, outside the annulus; _pole_forms has its poles at
+    # +-sqrt 2, found once although three forms share them
+    p = phis_from_data(_catenoid())
+    rep = check_regularity(p, PuncturedPlane([]))
+    assert (rep.regular, rep.branch_points, rep.poles) == (False, (), (0j,))
+    assert check_regularity(p, PuncturedPlane([GaussianRational(0)])).regular
+    assert check_regularity(p, Annulus(2.0)).regular
+    rep = check_regularity(_pole_forms(), PuncturedPlane([]))
+    assert not rep.regular
+    assert sorted(z.real for z in rep.poles) == pytest.approx([-math.sqrt(2.0), math.sqrt(2.0)], abs=1e-15)
+
+
 def test_period_residues_catenoid():
     p = phis_from_data(_catenoid())
     domain = PuncturedPlane([GaussianRational(0)])
