@@ -185,9 +185,11 @@ def parse_nonorientable(block):
     }
     if out["mesh"] is not None:
         mesh = _as_mapping(out["mesh"], "nonorientable mesh", ("n_r", "n_theta", "metadata"))
-        for key in ("n_r", "n_theta"):
-            if key in mesh:
-                _integer(mesh[key], f"nonorientable mesh {key}", 2)
+        out["mesh"] = {
+            "n_r": _integer(mesh.get("n_r", 8), "nonorientable mesh n_r", 2),
+            "n_theta": _integer(mesh.get("n_theta", 64), "nonorientable mesh n_theta", 2),
+            "metadata": mesh.get("metadata"),
+        }
     return out
 
 

@@ -14,10 +14,9 @@ import math
 import warnings
 
 from .errors import DomainError, IrregularData
-from .poly import roots
 from .report import Record
 from .scalars import to_complex
-from .weierstrass import _immerse, check_regularity, real_periods
+from .weierstrass import _form_poles, _immerse, check_regularity, real_periods
 
 FLOAT_FMT = "%.17g"
 
@@ -129,7 +128,7 @@ def export_mesh(p, domain, grid, base):
         raise IrregularData(f"forms have poles inside the domain at: {_points(reg.poles)}")
     periods = real_periods(p, domain)
     points, faces = grid
-    poles = [roots(phi.den) for phi in p.phi]
+    poles = _form_poles(p)
     singular = [to_complex(q) for q in domain.punctures]
     singular += [z for form_poles in poles for z, _ in form_poles]
     alive = []

@@ -18,6 +18,14 @@ psi_j = H_j(z) dz/z with H_j a Laurent polynomial, and the loop period
 int_{|z|=1} psi_j = 2 pi i c_0(H_j) is the residue that the exact residue
 condition already proves zero; so no loop period is integrated, and the
 mesh evaluates the Laurent-polynomial primitive of psi_j in closed form.
+
+`assemble_report` runs the stages f-condition-c, cover, laurent-symmetry,
+residue-conditions, psi-assembly, conformality, f-bounds, sandwich, rp2-count
+(skipped without declared omitted sets) and mesh (absent without mesh
+parameters), each one block of `_stages`, and stops at the first failure;
+|f| is bounded before the pullback, which needs its covering degree, but
+recorded after conformality. The defaults of the sample count, the slack and
+the mesh grid live in `config.parse_nonorientable` alone.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import math
 from .domains import derive_rng
 from .errors import ConditionViolation, DomainError, KSearchExhausted, PeriodObstruction
 from .laurent import LaurentPoly, format_laurent
-from .meshing import Mesh
+from .meshing import Mesh, annulus_grid
 from .poly import Polynomial, roots
 from .rational import RationalFunction
 from .report import Record, jsonable
@@ -46,12 +54,10 @@ def check_weierstrass_symmetry(w):
     def g_ok(g):
         if g.is_zero():
             return False
-        return (g.conj_reflect() * g + 1).is_identically_zero()
+        return (g.conj_reflect() * g + 1).is_zero()
 
     z2 = RationalFunction(Polynomial([0, 0, 1]))
-    omega_ok = (
-        w.omega_hat.conj_reflect() - z2 * w.g1 * w.g2 * w.omega_hat
-    ).is_identically_zero()
+    omega_ok = (w.omega_hat.conj_reflect() - z2 * w.g1 * w.g2 * w.omega_hat).is_zero()
     return {
         "g1": g_ok(w.g1),
         "g2": g_ok(w.g2),
@@ -203,8 +209,6 @@ def residue_condition(phi, f, k):
     of the product. Returns (vanishes, value). k may be any positive integer
     here so the k = 1 failure mode stays observable; k odd and k > m makes
     the condition automatic."""
-    if isinstance(k, CoverSpec):
-        k = k.k
     if not isinstance(k, int) or k < 1:
         raise DomainError("k must be a positive integer")
     fc = f.f if isinstance(f, FCandidate) else f
@@ -321,7 +325,7 @@ def _sandwich_samples(rho, n, seed):
     return out
 
 
-def sandwich_check(data, psis, bounds, rho, samples=1000, seed=0, slack=1e-12):
+def sandwich_check(data, psis, bounds, rho, samples, seed, slack):
     """(1/c^2) T_k^*(ds^2) <= ds_0^2 <= c^2 T_k^*(ds^2) at random points of
     the open annulus A(rho); densities against |dz|^2:
 
@@ -348,16 +352,16 @@ def sandwich_check(data, psis, bounds, rho, samples=1000, seed=0, slack=1e-12):
     return ok, worst
 
 
-def half_domain_mesh(psis, rho, n_r=8, n_theta=64, metadata=None):
+def half_domain_mesh(psis, rho, n_r, n_theta, metadata=None):
     """Mesh of the fundamental half-annulus {1 <= |z| <= sqrt(rho)} for the
     identification z ~ -1/conj(z), which acts on the unit circle as the
     antipode e^{i t} -> -e^{i t}.
 
     X(z) = Re int_1^z psi_j = Re sum_{n != 0} c_n (z^n - 1)/n for
     H_j = sum c_n z^n: the residue condition makes c_0 = 0, so the primitive
-    is a Laurent polynomial, evaluated on the whole grid at once. n_theta
-    must be even so identified circle vertices pair up exactly; pairs are
-    recorded in the metadata as vertex index pairs.
+    is a Laurent polynomial, evaluated on the whole `meshing.annulus_grid`
+    at once. n_theta must be even so identified circle vertices pair up
+    exactly; pairs are recorded in the metadata as vertex index pairs.
     """
     import numpy as np
 
@@ -366,24 +370,13 @@ def half_domain_mesh(psis, rho, n_r=8, n_theta=64, metadata=None):
     bad = [j for j, h in enumerate(psis) if h.coeff(0)]
     if bad:
         raise PeriodObstruction(f"components {bad} have a z^0 term: psi has a loop period")
-    r_hi = math.sqrt(rho)
-    radii = 1.0 + (r_hi - 1.0) * np.arange(n_r) / (n_r - 1)
-    z = (radii[:, None] * _circle(n_theta)).ravel()
+    points, faces = annulus_grid(1.0, math.sqrt(rho), n_r, n_theta)
+    z = np.array(points)
     coords = []
     for h in psis:
         primitive = LaurentPoly.from_dict({n: c / n for n, c in h.terms().items() if n})
         coords.append((primitive.eval(z) - primitive.eval(1.0 + 0j)).real)
     vertices = np.array(coords).T.tolist()
-    faces = []
-    for jr in range(n_r - 1):
-        for it in range(n_theta):
-            i2 = (it + 1) % n_theta
-            a = jr * n_theta + it
-            b = jr * n_theta + i2
-            c = (jr + 1) * n_theta + it
-            d = (jr + 1) * n_theta + i2
-            faces.append((a, b, d))
-            faces.append((a, d, c))
     pairs = [(i, (i + n_theta // 2) % n_theta) for i in range(n_theta // 2)]
     meta = dict(metadata or {})
     meta["identification"] = "z ~ -1/conj(z) on |z| = 1"
@@ -391,165 +384,117 @@ def half_domain_mesh(psis, rho, n_r=8, n_theta=64, metadata=None):
     return Mesh(vertices, faces, meta)
 
 
-def assemble_report(
-    data,
-    f,
-    k,
-    R,
-    *,
-    declared_omitted=None,
-    samples=1000,
-    seed=0,
-    slack=1e-12,
-    mesh_params=None,
-):
-    """Run the full Moebius-strip pipeline; stops at the first failing stage.
+class _StageFailed(Exception):
+    """The first failed stage of the pipeline, with the details it records."""
 
-    data: SymmetricLaurentData; f: FCandidate or coefficient list; k: odd
-    covering degree (k > max Laurent index of data); R > 1 the base annulus.
-    declared_omitted: optional pair of sphere-point lists, the omitted sets
-    of the two Gauss map components on the base data, counted in RP^2.
-    """
-    stages = []
-    failed = None
-    k_used = None
-    mesh = None
-    psis = None
-    bounds = None
+    def __init__(self, stage, details):
+        super().__init__(stage)
+        self.stage = stage
+        self.details = details
 
-    def fail(name, details):
-        nonlocal failed
-        failed = name
-        stages.append(StageResult(name, "failed", details))
 
-    def ok(name, details=None):
-        stages.append(StageResult(name, "passed", details or {}))
+def _stages(data, b, k, R, declared_omitted, samples, seed, slack, mesh_params):
+    """Run the pipeline's stages in order: yield (stage, status, details)
+    for each stage that passes or is skipped, raise _StageFailed at the first
+    that fails, and return the mesh (None without mesh_params)."""
+    try:
+        f = build_f(b)
+    except (ConditionViolation, DomainError) as e:
+        raise _StageFailed("f-condition-c", {"error": str(e)}) from None
+    yield "f-condition-c", "passed", {"m": f.m, "circle_min": f.circle_min}
 
-    # stage: f construction (accepts prebuilt candidates)
-    if failed is None:
-        if isinstance(f, FCandidate):
-            ok("f-condition-c", {"m": f.m, "circle_min": f.circle_min})
-        else:
-            try:
-                f = build_f(f)
-                ok("f-condition-c", {"m": f.m, "circle_min": f.circle_min})
-            except (ConditionViolation, DomainError) as e:
-                fail("f-condition-c", {"error": str(e)})
+    try:
+        cover = CoverSpec(k, f.m)
+        if not R > 1.0:
+            raise DomainError("need R > 1")
+    except DomainError as e:
+        raise _StageFailed("cover", {"error": str(e)}) from None
+    yield "cover", "passed", {"k": k, "m": f.m, "R": R}
 
-    # stage: covering degree
-    if failed is None:
-        try:
-            cover = CoverSpec(k, f.m)
-            if not R > 1.0:
-                raise DomainError("need R > 1")
-            ok("cover", {"k": k, "m": f.m, "R": R})
-        except DomainError as e:
-            fail("cover", {"error": str(e)})
-
-    # stage: Laurent symmetry of the four components, which
-    # SymmetricLaurentData holds by construction
-    if failed is None:
-        ok("laurent-symmetry", {"a0": [format_scalar(a) for a in data.a0()]})
+    # SymmetricLaurentData holds the symmetric pattern by construction
+    yield "laurent-symmetry", "passed", {"a0": [format_scalar(a) for a in data.a0()]}
 
     # |f| bounds first: they fix the admissible covering degree, so the forms
-    # are pulled back once, at that degree; the stage is recorded in its place
-    # below
-    bounds_error = None
-    if failed is None:
-        try:
-            bounds = f_bounds(f, R, cover.k)
-            cover = CoverSpec(bounds.k, f.m)
-        except (KSearchExhausted, DomainError) as e:
-            bounds_error = str(e)
+    # are pulled back once, at that degree; the stage is recorded after
+    # conformality, and a failure is raised there
+    try:
+        bounds = f_bounds(f, R, k)
+        cover = CoverSpec(bounds.k, f.m)
+    except (KSearchExhausted, DomainError) as e:
+        bounds = _StageFailed("f-bounds", {"error": str(e)})
 
-    # stage: residue conditions and psi assembly
-    if failed is None:
-        try:
-            psis, symmetric = pullback_psi(data, f, cover)
-            if not symmetric:
-                fail("psi-assembly", {"error": "pullback lost the symmetric pattern"})
-            else:
-                ok("residue-conditions", {"k": cover.k})
-                ok(
-                    "psi-assembly",
-                    {"components": [format_laurent(h) for h in psis]},
-                )
-        except PeriodObstruction as e:
-            fail("residue-conditions", {"error": str(e)})
+    try:
+        psis, symmetric = pullback_psi(data, f, cover)
+    except PeriodObstruction as e:
+        raise _StageFailed("residue-conditions", {"error": str(e)}) from None
+    if not symmetric:
+        raise _StageFailed("psi-assembly", {"error": "pullback lost the symmetric pattern"})
+    yield "residue-conditions", "passed", {"k": cover.k}
+    yield "psi-assembly", "passed", {"components": [format_laurent(h) for h in psis]}
 
-    # stage: conformality of the truncations
-    if failed is None:
-        total = LaurentPoly()
-        for p in data.phi:
-            total = total + p * p
-        if total.is_zero():
-            ok("conformality", {"identity": "sum phi_j^2 == 0"})
-        else:
-            fail("conformality", {"residual_terms": format_laurent(total)})
+    total = sum((p * p for p in data.phi), LaurentPoly())
+    if not total.is_zero():
+        raise _StageFailed("conformality", {"residual_terms": format_laurent(total)})
+    yield "conformality", "passed", {"identity": "sum phi_j^2 == 0"}
 
-    # stage: |f| bounds on the covering annulus
-    if failed is None:
-        if bounds is None:
-            fail("f-bounds", {"error": bounds_error})
-        else:
-            k_used = bounds.k
-            detail = bounds.to_dict()
-            if k_used != k:
-                detail["escalated_from"] = k
-            ok("f-bounds", detail)
+    if isinstance(bounds, _StageFailed):
+        raise bounds
+    detail = bounds.to_dict()
+    if bounds.k != k:
+        detail["escalated_from"] = k
+    yield "f-bounds", "passed", detail
 
-    # stage: sandwich inequality
-    if failed is None:
-        rho = math.exp(math.log(R) / cover.k)
-        sandwich_ok, worst = sandwich_check(
-            data, psis, bounds, rho, samples=samples, seed=seed, slack=slack
-        )
-        if sandwich_ok:
-            ok("sandwich", {"samples": samples, "worst_margin": worst})
-        else:
-            fail("sandwich", {"worst_margin": worst})
+    rho = math.exp(math.log(R) / cover.k)
+    sandwich_ok, worst = sandwich_check(data, psis, bounds, rho, samples, seed, slack)
+    if not sandwich_ok:
+        raise _StageFailed("sandwich", {"worst_margin": worst})
+    yield "sandwich", "passed", {"samples": samples, "worst_margin": worst}
 
-    # stage: RP^2 counts of declared omitted sets
-    if failed is None:
-        if declared_omitted is None:
-            stages.append(StageResult("rp2-count", "skipped", {"reason": "no declared omitted sets"}))
-        else:
-            detail = {}
-            closure_ok = True
-            for idx, pts in enumerate(declared_omitted, start=1):
-                pts = [SpherePoint.of(p) for p in pts]
-                closed = involution_omitted_closure(pts)
-                count = rp2_count(pts) if closed else None
-                closure_ok = closure_ok and closed
-                detail[f"g{idx}"] = {
-                    "points": [format_point(p) for p in pts],
-                    "antipodally_closed": closed,
-                    "rp2_count": count,
-                }
-            if closure_ok:
-                ok("rp2-count", detail)
-            else:
-                fail("rp2-count", detail)
+    if declared_omitted is None:
+        yield "rp2-count", "skipped", {"reason": "no declared omitted sets"}
+    else:
+        detail = {}
+        for idx, pts in enumerate(declared_omitted, start=1):
+            pts = [SpherePoint.of(p) for p in pts]
+            closed = involution_omitted_closure(pts)
+            detail[f"g{idx}"] = {
+                "points": [format_point(p) for p in pts],
+                "antipodally_closed": closed,
+                "rp2_count": rp2_count(pts) if closed else None,
+            }
+        if not all(d["antipodally_closed"] for d in detail.values()):
+            raise _StageFailed("rp2-count", detail)
+        yield "rp2-count", "passed", detail
 
-    # stage: half-domain mesh
-    if failed is None and mesh_params is not None:
-        rho = math.exp(math.log(R) / cover.k)
-        try:
-            mesh = half_domain_mesh(
-                psis,
-                rho,
-                n_r=int(mesh_params.get("n_r", 8)),
-                n_theta=int(mesh_params.get("n_theta", 64)),
-                metadata=mesh_params.get("metadata"),
-            )
-            ok(
-                "mesh",
-                {
-                    "vertices": len(mesh.vertices),
-                    "faces": len(mesh.faces),
-                },
-            )
-        except DomainError as e:
-            fail("mesh", {"error": str(e)})
+    if mesh_params is None:
+        return None
+    try:
+        mesh = half_domain_mesh(psis, rho, **mesh_params)
+    except DomainError as e:
+        raise _StageFailed("mesh", {"error": str(e)}) from None
+    yield "mesh", "passed", {"vertices": len(mesh.vertices), "faces": len(mesh.faces)}
+    return mesh
 
-    return MoebiusReport(tuple(stages), failed is None, failed, k, k_used, mesh)
+
+def assemble_report(data, b, k, R, *, declared_omitted, samples, seed, slack, mesh_params):
+    """Run the full Moebius-strip pipeline; stops at the first failing stage.
+
+    data: SymmetricLaurentData; b: the coefficients of f; k: odd covering
+    degree (k > len(b)); R > 1 the base annulus. declared_omitted: None or a
+    pair of sphere-point lists, the omitted sets of the two Gauss map
+    components on the base data, counted in RP^2. mesh_params: None or the
+    n_r, n_theta and metadata of `half_domain_mesh`.
+    """
+    stages = []
+    failed = mesh = None
+    run = _stages(data, b, k, R, declared_omitted, samples, seed, slack, mesh_params)
+    try:
+        while True:
+            stages.append(StageResult(*next(run)))
+    except StopIteration as done:
+        mesh = done.value
+    except _StageFailed as e:
+        stages.append(StageResult(e.stage, "failed", e.details))
+        failed = e.stage
+    k_used = next((s.details.get("k") for s in stages if s.stage == "f-bounds"), None)
+    return MoebiusReport(tuple(stages), not failed, failed, k, k_used, mesh)

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .errors import DomainError, RequiresExactMode, RootsNotConverged
 from .report import Immutable
-from .scalars import GaussianRational, as_scalar, format_scalar, is_exact, parse_scalar, to_complex
+from .scalars import GaussianRational, as_scalar, binary_power, format_scalar, is_exact, parse_scalar, to_complex
 
 
 def float_point(z):
@@ -163,14 +163,7 @@ class Polynomial(Immutable):
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise DomainError("polynomial powers must be nonnegative integers")
-        out = Polynomial([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, Polynomial([1]))
 
     def __divmod__(self, other):
         """(quotient, remainder). The operands are cleared by one common L

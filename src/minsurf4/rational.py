@@ -190,16 +190,22 @@ class RationalFunction(Immutable):
         """Order of vanishing at INF or an exact point: zeros > 0, poles < 0.
 
         The zero function raises (its order is +infinity everywhere), and so
-        does a float point (RequiresExactMode).
+        does a float point (RequiresExactMode). num and den are coprime, so
+        at most one of them vanishes at a finite point: num's multiplicity is
+        read only where den's is 0.
         """
         if self.is_zero():
             raise DomainError("order of the zero function is undefined")
         if point is INF:
             return self.den.degree - self.num.degree
-        return multiplicity_at(self.num, point) - multiplicity_at(self.den, point)
+        poles = multiplicity_at(self.den, point)
+        return -poles if poles else multiplicity_at(self.num, point)
 
     def pole_order(self, point):
-        return max(0, -self.order_at(point))
+        """max(0, -order_at(point)); at a finite point den's multiplicity."""
+        if point is INF or self.is_zero():
+            return max(0, -self.order_at(point))
+        return multiplicity_at(self.den, point)
 
     def residue_at(self, point):
         """Residue of self dz at a finite exact point; a float point raises
@@ -224,26 +230,6 @@ class RationalFunction(Immutable):
         num_s = _exact_coeffs(zi_taylor(num, sr, si, d), len(num) - 1, d, 0, k)
         den_s = _exact_coeffs(chain([lead], den_t), len(den) - 1, d, k, k)
         return _series_div(num_s, den_s, k)[k - 1]
-
-    def is_identically_zero(self):
-        """Exact zero test by evaluation at deg+1 distinct integer points.
-
-        A rational identity of numerator degree d that holds at more than d
-        points is an identity, so this is a proof, not a heuristic.
-        """
-        if self.num.is_zero():
-            return True
-        d = self.num.degree
-        count = 0
-        t = 0
-        while count <= d:
-            pt = GaussianRational(t)
-            if self.den.eval(pt):
-                if self.num.eval(pt):
-                    return False
-                count += 1
-            t += 1
-        return True
 
     def conj_reflect(self):
         """The function z -> conj(self(-1/conj(z))) as a rational function."""

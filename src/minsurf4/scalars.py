@@ -95,14 +95,7 @@ class GaussianRational(Immutable):
             return NotImplemented
         if n < 0:
             return GaussianRational(1) / self**(-n)
-        out = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, GaussianRational(1))
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -149,6 +142,20 @@ class GaussianRational(Immutable):
     @classmethod
     def parse(cls, text):
         return parse_scalar(text)
+
+
+def binary_power(x, n, one):
+    """x**n for an integer n >= 0 by repeated squaring: the bits of n pick
+    the squares that are multiplied together, and no square is made past the
+    top bit, so x**2 is one product; `one` is the result for n = 0."""
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if not n:
+            return one if out is None else out
+        x = x * x
 
 
 def is_exact(x):

@@ -237,13 +237,20 @@ def immerse(p, domain, base, targets):
     then path-dependent.
     """
     real_periods(p, domain)
-    return _immerse(p, base, targets, [roots(phi.den) for phi in p.phi])
+    return _immerse(p, base, targets, _form_poles(p))
+
+
+def _form_poles(p):
+    """roots(phi.den) for each form phi, each distinct denominator solved
+    once, as `check_regularity` takes them."""
+    found = {den: roots(den) for den in dict.fromkeys(phi.den for phi in p.phi)}
+    return [found[phi.den] for phi in p.phi]
 
 
 def _immerse(p, base, targets, poles):
-    """immerse without the exact period decision, given roots(phi.den) for
-    each form phi in `poles`. A base point or target where some Re P is not
-    a finite float raises InvalidPath."""
+    """immerse without the exact period decision, given `_form_poles(p)` in
+    `poles`. A base point or target where some Re P is not a finite float
+    raises InvalidPath."""
     primitives = [_primitive(phi, a) for phi, a in zip(p.phi, poles)]
     points = [to_complex(base)] + [to_complex(t) for t in targets]
     try:

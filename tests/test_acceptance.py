@@ -273,10 +273,9 @@ def _symmetric_phi(rng, span=3, bound=3):
 def test_criterion_08a_nonorientable_pipeline():
     cfg = load_config(CONFIG_DIR / "moebius-strip.json")
     block = cfg.need("nonorientable")
-    f = build_f(block["b"])
     rep = assemble_report(
         block["data"],
-        f,
+        block["b"],
         block["k"],
         block["R"],
         declared_omitted=block["declared_omitted"],
@@ -306,6 +305,7 @@ def test_criterion_08a_nonorientable_pipeline():
         property_ok = property_ok and vanishes and value == GaussianRational(0)
         checked += 1
 
+    f = build_f(block["b"])
     violation_ok = residue_condition(block["data"].phi[1], f, 1) == (
         False,
         GaussianRational(0, 1),
@@ -390,8 +390,10 @@ def test_criterion_10_deterministic_artifacts():
             [GaussianRational(1), GaussianRational(1)],
             3,
             4.0,
+            declared_omitted=None,
             samples=200,
             seed=0,
+            slack=1e-12,
             mesh_params={"n_r": 4, "n_theta": 16},
         )
         reports.append(

@@ -364,6 +364,75 @@ def test_nonorientable_failed_stage_exits_2(tmp_path, capsys):
     assert pipeline["failed_stage"] == "rp2-count"
 
 
+_MOEBIUS_STAGES = (
+    "f-condition-c",
+    "cover",
+    "laurent-symmetry",
+    "residue-conditions",
+    "psi-assembly",
+    "conformality",
+    "f-bounds",
+    "sandwich",
+    "rp2-count",
+    "mesh",
+)
+
+
+def _moebius_record(passed, last=None, end="mesh"):
+    """(stage, status) pairs: the stages in order up to `end`, the first
+    `passed` of them passed and the next one given the status `last`."""
+    stages = _MOEBIUS_STAGES[: _MOEBIUS_STAGES.index(end) + 1]
+    record = [(name, "passed") for name in stages[:passed]]
+    if last is not None:
+        record.append((stages[passed], last))
+        record += [(name, "passed") for name in stages[passed + 1 :]]
+    return record
+
+
+# variant of the shipped Moebius-strip config -> (stage records, exit code);
+# the pipeline stops at the first failed stage, and a skipped one goes on
+MOEBIUS_VARIANTS = {
+    "shipped": ({}, _moebius_record(10), 0),
+    "b-one-term": ({"b": ["1"]}, _moebius_record(0, "failed", "f-condition-c"), 2),
+    "k-even": ({"k": 4}, _moebius_record(1, "failed", "cover"), 2),
+    "omitted-unclosed": (
+        {"declared_omitted": [["1+1i"], ["0", "inf"]]},
+        _moebius_record(8, "failed", "rp2-count"),
+        2,
+    ),
+    "phi-not-conformal": (
+        {"phi": ["(1)*z + (1)*z^-1"] * 4},
+        _moebius_record(5, "failed", "conformality"),
+        2,
+    ),
+    "n-theta-odd": ({"mesh": {"n_r": 8, "n_theta": 15}}, _moebius_record(9, "failed"), 2),
+    "omitted-undeclared": ({"declared_omitted": None}, _moebius_record(8, "skipped"), 0),
+    "no-mesh": ({"mesh": None}, _moebius_record(9, end="rp2-count"), 0),
+    # the roots of z^2 f have moduli 0.978 and 1.022, inside
+    # [100^(-1/k), 100^(1/k)] for every odd k <= 99 (100^(1/99) > 1.04); |f|
+    # is bounded before the residues but recorded after conformality
+    "k-search-exhausted": (
+        {"b": ["1/8", "2"], "R": 100},
+        _moebius_record(6, "failed", "f-bounds"),
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", MOEBIUS_VARIANTS)
+def test_nonorientable_stage_records(variant, tmp_path, capsys):
+    entries, record, expected = MOEBIUS_VARIANTS[variant]
+    path = _config_copy("moebius-strip.json", "nonorientable", **entries)(tmp_path)
+    code, out, err = _run(["nonorientable", "--config", path, "--out", str(tmp_path / "out")], capsys)
+    assert (code, err) == (expected, "")
+    pipeline = json.loads(out)["results"]["pipeline"]
+    assert [(s["stage"], s["status"]) for s in pipeline["stages"]] == record
+    failed = [name for name, status in record if status == "failed"]
+    assert pipeline["passed"] is (not failed)
+    assert pipeline["failed_stage"] == (failed[0] if failed else None)
+    assert (tmp_path / "out" / "moebius.mesh").exists() is (record[-1] == ("mesh", "passed"))
+
+
 def _negative_verdicts(monkeypatch):
     """Every verdict the library could report as negative, reported so."""
     import minsurf4.cli as cli
@@ -500,7 +569,8 @@ def test_one_mesh_command_decides_each_residue_once(monkeypatch, capsys):
     """One catenoid `mesh` command runs check_regularity and period_residues
     once each, so it makes one residue_at call per form at the one puncture,
     and no residue decision calls multiplicity_at: the pole order is read off
-    the Taylor coefficients the residue is built from."""
+    the Taylor coefficients the residue is built from. The form denominators
+    z^2, z^2, z and 1 are solved once each: three roots calls."""
     import minsurf4.cli as cli
     import minsurf4.domains as domains
     import minsurf4.meshing as meshing
@@ -508,7 +578,13 @@ def test_one_mesh_command_decides_each_residue_once(monkeypatch, capsys):
     import minsurf4.rational as rational
     import minsurf4.weierstrass as weierstrass
 
-    calls = {"check_regularity": 0, "period_residues": 0, "residue_at": 0, "multiplicity_at in residue_at": 0}
+    calls = {
+        "check_regularity": 0,
+        "period_residues": 0,
+        "residue_at": 0,
+        "multiplicity_at in residue_at": 0,
+        "roots": 0,
+    }
     in_residue = []
 
     def counting(name, fn):
@@ -518,9 +594,9 @@ def test_one_mesh_command_decides_each_residue_once(monkeypatch, capsys):
 
         return wrapper
 
-    for name in ("check_regularity", "period_residues"):
-        fn = getattr(weierstrass, name)
-        for module in (cli, meshing, weierstrass):
+    for name, home in (("check_regularity", weierstrass), ("period_residues", weierstrass), ("roots", poly)):
+        fn = getattr(home, name)
+        for module in (cli, domains, meshing, poly, weierstrass):
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counting(name, fn))
     residue_at = rational.RationalFunction.residue_at
@@ -545,7 +621,37 @@ def test_one_mesh_command_decides_each_residue_once(monkeypatch, capsys):
         monkeypatch.setattr(module, "multiplicity_at", multiplicity)
     code, out, _ = _run(["mesh", "--config", str(CONFIG_DIR / "catenoid-mesh.json")], capsys)
     assert code == 0 and json.loads(out)["results"]["periods_well_defined"] is True
-    assert calls == {"check_regularity": 1, "period_residues": 1, "residue_at": 4, "multiplicity_at in residue_at": 0}
+    assert calls == {
+        "check_regularity": 1,
+        "period_residues": 1,
+        "residue_at": 4,
+        "multiplicity_at in residue_at": 0,
+        "roots": 3,
+    }
+
+
+def test_falsify_reads_one_side_of_each_local_order(monkeypatch, capsys):
+    """A pole order is the denominator's multiplicity alone, and an order of
+    vanishing reads the numerator only off the poles: 200 falsify draws
+    (seeds 0..19, ten each) make at most 1,341 multiplicity_at calls, half of
+    the 2,682 that reading both sides at every puncture made."""
+    import minsurf4.domains as domains
+    import minsurf4.poly as poly
+    import minsurf4.rational as rational
+
+    calls = []
+    multiplicity_at = poly.multiplicity_at
+
+    def counting(p, point):
+        calls.append(point)
+        return multiplicity_at(p, point)
+
+    for module in (poly, rational, domains):
+        monkeypatch.setattr(module, "multiplicity_at", counting)
+    for seed in range(20):
+        code, _, _ = _run(["falsify", "--seed", str(seed), "--n", "10", "--allow-incomplete"], capsys)
+        assert code == 0
+    assert 0 < len(calls) <= 1341
 
 
 def test_seed_changes_falsify_draws(capsys):

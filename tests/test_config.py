@@ -172,6 +172,8 @@ def test_nonorientable_defaults():
     assert block["mesh"] is None
     assert block["declared_omitted"] is None
     assert block["b"] == [GaussianRational(1), GaussianRational(1)]
+    mesh = _cfg(_nonorientable_doc(mesh={"n_theta": 16})).need("nonorientable")["mesh"]
+    assert mesh == {"n_r": 8, "n_theta": 16, "metadata": None}
 
 
 def test_nonorientable_validation():

@@ -54,8 +54,11 @@ def _shipped_data():
     return SymmetricLaurentData(phi)
 
 
+_SHIPPED_B = [GaussianRational(1), GaussianRational(1)]
+
+
 def _shipped_f():
-    return build_f([GaussianRational(1), GaussianRational(1)])
+    return build_f(_SHIPPED_B)
 
 
 def _symmetric_phi(rng, span=3, bound=3):
@@ -343,7 +346,7 @@ def test_sandwich_check_shipped():
     cover = CoverSpec(bounds.k, f.m)
     psis, _ = pullback_psi(data, f, cover)
     rho = math.exp(math.log(4.0) / bounds.k)
-    ok, worst = sandwich_check(data, psis, bounds, rho, samples=500, seed=0)
+    ok, worst = sandwich_check(data, psis, bounds, rho, samples=500, seed=0, slack=1e-12)
     assert ok
     assert worst <= 0.0 + 1e-15
 
@@ -355,8 +358,8 @@ def test_sandwich_check_deterministic():
     cover = CoverSpec(bounds.k, f.m)
     psis, _ = pullback_psi(data, f, cover)
     rho = math.exp(math.log(4.0) / bounds.k)
-    r1 = sandwich_check(data, psis, bounds, rho, samples=200, seed=7)
-    r2 = sandwich_check(data, psis, bounds, rho, samples=200, seed=7)
+    r1 = sandwich_check(data, psis, bounds, rho, samples=200, seed=7, slack=1e-12)
+    r2 = sandwich_check(data, psis, bounds, rho, samples=200, seed=7, slack=1e-12)
     assert r1 == r2
 
 
@@ -382,7 +385,9 @@ def test_sandwich_check_matches_pointwise_loop():
         hi_margin = c2 * pull * (1.0 + 1e-12) - lam0
         worst = max(worst, -min(lo_margin, hi_margin) / pull)
         ok = ok and lo_margin >= 0.0 and hi_margin >= 0.0
-    measured_ok, measured = sandwich_check(data, psis, bounds, rho, samples=300, seed=3)
+    measured_ok, measured = sandwich_check(
+        data, psis, bounds, rho, samples=300, seed=3, slack=1e-12
+    )
     assert not ok and not measured_ok
     assert worst > 0.1
     assert measured == pytest.approx(worst, rel=1e-12)
@@ -455,12 +460,26 @@ def test_half_domain_mesh_against_closed_form():
     assert worst < 1e-12
 
 
+def _report(data, b, k, declared_omitted=None, mesh_params=None):
+    """assemble_report on R = 4 with 100 sandwich samples at seed 0."""
+    return assemble_report(
+        data,
+        b,
+        k,
+        4.0,
+        declared_omitted=declared_omitted,
+        samples=100,
+        seed=0,
+        slack=1e-12,
+        mesh_params=mesh_params,
+    )
+
+
 def test_assemble_report_shipped_passes():
     data = _shipped_data()
-    f = _shipped_f()
     rep = assemble_report(
         data,
-        f,
+        _SHIPPED_B,
         3,
         4.0,
         declared_omitted=[
@@ -468,6 +487,8 @@ def test_assemble_report_shipped_passes():
             [SpherePoint.of("0"), INFINITY],
         ],
         samples=300,
+        seed=0,
+        slack=1e-12,
         mesh_params={"n_r": 4, "n_theta": 16},
     )
     assert rep.passed
@@ -496,9 +517,7 @@ def test_assemble_report_shipped_passes():
 
 def test_assemble_report_coefficients_accepted():
     data = _shipped_data()
-    rep = assemble_report(
-        data, [GaussianRational(1), GaussianRational(1)], 3, 4.0, samples=100
-    )
+    rep = _report(data, _SHIPPED_B, 3)
     assert rep.passed
     skipped = [s.stage for s in rep.stages if s.status == "skipped"]
     assert "rp2-count" in skipped
@@ -506,7 +525,7 @@ def test_assemble_report_coefficients_accepted():
 
 def test_assemble_report_bad_f_fails_first_stage():
     data = _shipped_data()
-    rep = assemble_report(data, [GaussianRational(1)], 3, 4.0, samples=100)
+    rep = _report(data, [GaussianRational(1)], 3)
     assert not rep.passed
     assert rep.failed_stage == "f-condition-c"
     assert [s.status for s in rep.stages] == ["failed"]
@@ -514,22 +533,18 @@ def test_assemble_report_bad_f_fails_first_stage():
 
 def test_assemble_report_even_k_fails_cover():
     data = _shipped_data()
-    f = _shipped_f()
-    rep = assemble_report(data, f, 4, 4.0, samples=100)
+    rep = _report(data, _SHIPPED_B, 4)
     assert not rep.passed
     assert rep.failed_stage == "cover"
 
 
 def test_assemble_report_unclosed_omitted_set_fails():
     data = _shipped_data()
-    f = _shipped_f()
-    rep = assemble_report(
+    rep = _report(
         data,
-        f,
+        _SHIPPED_B,
         3,
-        4.0,
         declared_omitted=[[SpherePoint.of("1+1i")], [SpherePoint.of("0"), INFINITY]],
-        samples=100,
     )
     assert not rep.passed
     assert rep.failed_stage == "rp2-count"
@@ -538,8 +553,7 @@ def test_assemble_report_unclosed_omitted_set_fails():
 def test_assemble_report_conformality_gate():
     phi = parse_laurent("(1)*z + (1)*z^-1")
     data = SymmetricLaurentData((phi, phi, phi, phi))
-    f = _shipped_f()
-    rep = assemble_report(data, f, 3, 4.0, samples=100)
+    rep = _report(data, _SHIPPED_B, 3)
     assert not rep.passed
     assert rep.failed_stage == "conformality"
 

@@ -54,6 +54,36 @@ def test_arithmetic_examples():
     assert (z**3 - 1) / (z - 1) == z * z + z + 1
 
 
+@pytest.mark.parametrize(
+    "cls, base, one",
+    [
+        (Polynomial, Polynomial([GaussianRational(1, 2), 1]), Polynomial([1])),
+        (GaussianRational, GaussianRational(F(1, 2), 1), GaussianRational(1)),
+    ],
+    ids=["polynomial", "scalar"],
+)
+def test_power_makes_no_wasted_product(cls, base, one, monkeypatch):
+    """Repeated squaring with no square past the top bit and no product by
+    1: x**n takes (bit length - 1) squares plus (one bits - 1) products."""
+    mul = cls.__mul__
+    products = []
+
+    def counting(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    expected = one
+    for n in range(6):
+        monkeypatch.setattr(cls, "__mul__", counting)
+        products.clear()
+        value = base**n
+        monkeypatch.setattr(cls, "__mul__", mul)
+        assert value == expected
+        if n in (0, 1, 2, 5):
+            assert len(products) == {0: 0, 1: 0, 2: 1, 5: 3}[n]
+        expected = expected * base
+
+
 def test_divmod_identity_random():
     rng = derive_rng(5, "poly-divmod")
     for _ in range(100):

@@ -98,8 +98,39 @@ def test_order_at_examples():
 
 def test_order_of_zero_function_undefined():
     r = RationalFunction.constant(0)
-    with pytest.raises(DomainError):
-        r.order_at(GaussianRational(0))
+    for point in (GaussianRational(0), INF):
+        with pytest.raises(DomainError):
+            r.order_at(point)
+        with pytest.raises(DomainError):
+            r.pole_order(point)
+
+
+def test_local_orders_read_one_side(monkeypatch):
+    """num and den are coprime: a pole order is den's multiplicity alone,
+    and order_at reads num's multiplicity only where den does not vanish."""
+    import minsurf4.rational as rational
+
+    calls = []
+    multiplicity_at = rational.multiplicity_at
+
+    def counting(p, point):
+        calls.append(p)
+        return multiplicity_at(p, point)
+
+    monkeypatch.setattr(rational, "multiplicity_at", counting)
+    z = _z()
+    r = (z - 2) ** 3 / ((z - 1) ** 2 * z)
+    cases = [
+        (r.order_at, GaussianRational(1), -2, [r.den]),
+        (r.order_at, GaussianRational(2), 3, [r.den, r.num]),
+        (r.order_at, GaussianRational(3), 0, [r.den, r.num]),
+        (r.pole_order, GaussianRational(0), 1, [r.den]),
+        (r.pole_order, GaussianRational(2), 0, [r.den]),
+    ]
+    for method, point, order, read in cases:
+        calls.clear()
+        assert method(point) == order
+        assert calls == read
 
 
 def test_residue_examples():
@@ -166,7 +197,7 @@ def test_conj_reflect():
     # g(z) = (z - a)/(conj(a) z + 1) satisfies conj_reflect(g) * g == -1
     a = GaussianRational(2)
     g = (z - a) / (RationalFunction.constant(a.conjugate()) * z + 1)
-    assert (g.conj_reflect() * g + 1).is_identically_zero()
+    assert (g.conj_reflect() * g + 1).is_zero()
 
 
 def test_conj_reflect_involution_random():
